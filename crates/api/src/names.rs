@@ -137,4 +137,14 @@ mod tests {
             .to_string()
             .contains("recompute"));
     }
+
+    #[test]
+    fn paper_defaults_follow_family() {
+        let (sched, mb, _) = paper_defaults(&zoo::bert_0_64b());
+        assert_eq!(sched, ScheduleKind::PipeDream);
+        assert_eq!(mb, 12);
+        let (sched, mb, _) = paper_defaults(&zoo::gpt_5_3b());
+        assert_eq!(sched, ScheduleKind::Dapple);
+        assert_eq!(mb, 2);
+    }
 }

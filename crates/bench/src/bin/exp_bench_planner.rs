@@ -6,10 +6,9 @@
 //!
 //! ```json
 //! {"wall_s": 1.23, "jobs": 4, "emulator_runs": 57, "cache_hits": 12,
-//!  "cache_hits_canonical": 3, "cache_hit_rate": 0.174, "prefilter_skips": 18,
+//!  "cache_hits_canonical": 3, "cache_hit_rate": 0.174,
 //!  "verifier_rejections": 0, "bounds_pruned": 18, "bounds_certified_fit": 3,
-//!  "delta_replays": 21, "windows_replayed": 84,
-//!  "windows_total": 352, "peak_workers": 4, "steals": 6,
+//!  "peak_workers": 4, "steals": 6,
 //!  "speculative_runs": 31, "speculation_wasted": 4, "bound_aborts": 12,
 //!  "refinement_rounds": 9, "refine_candidates": [4, 4, 1]}
 //! ```
@@ -76,10 +75,9 @@ fn main() {
         .join(", ");
     let json = format!(
         "{{\"wall_s\": {:.3}, \"jobs\": {}, \"emulator_runs\": {}, \"cache_hits\": {}, \
-         \"cache_hits_canonical\": {}, \"cache_hit_rate\": {:.4}, \"prefilter_skips\": {}, \
+         \"cache_hits_canonical\": {}, \"cache_hit_rate\": {:.4}, \
          \"verifier_rejections\": {}, \"bounds_pruned\": {}, \"bounds_certified_fit\": {}, \
-         \"delta_replays\": {}, \"windows_replayed\": {}, \
-         \"windows_total\": {}, \"peak_workers\": {}, \"steals\": {}, \
+         \"peak_workers\": {}, \"steals\": {}, \
          \"speculative_runs\": {}, \"speculation_wasted\": {}, \"bound_aborts\": {}, \
          \"refinement_rounds\": {}, \"refine_candidates\": [{}]}}\n",
         wall_s,
@@ -88,13 +86,9 @@ fn main() {
         plan.search.cache_hits,
         plan.search.cache_hits_canonical,
         plan.search.cache_hit_rate(),
-        plan.search.prefilter_skips,
         plan.search.verifier_rejections,
         plan.search.bounds_pruned,
         plan.search.bounds_certified_fit,
-        plan.search.delta_replays,
-        plan.search.windows_replayed,
-        plan.search.windows_total,
         plan.search.peak_workers,
         plan.search.steals,
         plan.search.speculative_runs,
@@ -111,7 +105,7 @@ fn main() {
     eprintln!(
         "planner wall {wall_s:.3}s at jobs={} (peak {} workers, {} steals), \
          {} emulator runs, {} cache hits (+{} canonical), {} bounds prunes, \
-         {} delta replays, {} speculative runs ({} wasted), {} bound aborts \
+         {} speculative runs ({} wasted), {} bound aborts \
          -> {out_path}",
         plan.search.jobs,
         plan.search.peak_workers,
@@ -120,7 +114,6 @@ fn main() {
         plan.search.cache_hits,
         plan.search.cache_hits_canonical,
         plan.search.bounds_pruned,
-        plan.search.delta_replays,
         plan.search.speculative_runs,
         plan.search.speculation_wasted,
         plan.search.bound_aborts

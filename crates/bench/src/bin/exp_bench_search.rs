@@ -23,7 +23,7 @@
 //!   stealing is observable everywhere.
 //! * `bound_aborts` — from the wide run; when the certified-bounds gate
 //!   prunes every loser before emulation the counter can read zero, so
-//!   a probe run with `bounds`/`prefilter` off re-measures it
+//!   a probe run with `bounds` off re-measures it
 //!   (`bound_abort_probe: true`) — the abort path itself, not the
 //!   gates in front of it, is what the field certifies.
 //! * `scaling_gate` — `pass`/`fail` against `wall_wide <= 0.6 *
@@ -125,7 +125,7 @@ fn main() {
     let mut bound_abort_probe = false;
     if bound_aborts == 0 {
         mpress_par::set_jobs(1);
-        let (probe, _) = timed_plan(grid.bounds(false).prefilter(false));
+        let (probe, _) = timed_plan(grid.bounds(false));
         mpress_par::set_jobs(0);
         bound_aborts = probe.search.bound_aborts;
         bound_abort_probe = true;

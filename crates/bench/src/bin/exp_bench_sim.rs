@@ -5,27 +5,7 @@
 //! * steady-state emulation throughput through one reused [`SimArena`]
 //!   (the planner's inner loop: the chosen plan re-simulated back to
 //!   back),
-//! * delta-replay throughput: the chosen plan is captured once as a
-//!   [`RunBase`](mpress_sim::RunBase), then single-tensor swap
-//!   retimings are re-emulated with `run_in_delta` — the shape of a
-//!   refinement trial. Two cuts are timed: the mean over every
-//!   candidate that takes the fast path (`delta_speedup_mean` — the
-//!   divergence bound of an early-layer retiming forces most of the
-//!   schedule to replay, so this averages modest), and the *frontier*
-//!   eighth — the smallest-replay candidates, i.e. retimings of the
-//!   latest-produced tensors, which replay only a short suffix
-//!   (`delta_speedup` — the polish-phase trials the delta path exists
-//!   for). `delta_speedup_peak` is the best single retiming timed
-//!   alone: the shortest-suffix trial, bounding what the delta path
-//!   delivers when the refinement loop polishes the schedule tail. `delta_fast_fraction` reports how many
-//!   candidates take the fast path at all; the identity gate covers
-//!   *every* candidate, fallbacks included,
 //! * end-to-end plan-search wall clock at `jobs=1` and `jobs=8`,
-//! * a prefilter transparency gate: planning with the analytic
-//!   lower-bound prefilter on and off must choose the identical plan —
-//!   any divergence exits nonzero so CI fails loudly,
-//! * a delta identity gate: every delta replay must be byte-identical
-//!   to the from-scratch report, or the binary exits nonzero,
 //! * a parallel-search sanity gate: `jobs=8` wall must not exceed
 //!   `jobs=1` wall by more than 10% (the serial-below-threshold cutoff
 //!   keeps tiny batches inline).
@@ -34,12 +14,7 @@
 //!
 //! ```json
 //! {"emulate_ms": 0.91, "emulations_per_sec": 1098.9,
-//!  "delta_emulate_ms": 0.09, "delta_emulations_per_sec": 11111.1,
-//!  "delta_speedup": 10.1, "delta_speedup_peak": 12.3,
-//!  "delta_speedup_mean": 2.1,
-//!  "delta_fast_fraction": 0.78, "delta_identical": true,
-//!  "plan_wall_s_jobs1": 0.061, "plan_wall_s_jobs8": 0.058,
-//!  "prefilter_skips": 18, "prefilter_plan_identical": true}
+//!  "plan_wall_s_jobs1": 0.061, "plan_wall_s_jobs8": 0.058}
 //! ```
 //!
 //! Pass `--out PATH` to redirect (default `BENCH_sim.json` in the
@@ -48,20 +23,16 @@
 //! a fraction of the checked-in baseline to catch regressions.
 use mpress::Mpress;
 use mpress_bench::jobs::bert_job;
-use mpress_compaction::{HostTier, InstrumentationPlan, MemoryDirective};
 use mpress_hw::Machine;
 use mpress_model::zoo;
 use mpress_sim::{SimArena, Simulator};
 
-fn bench_system(prefilter: Option<bool>) -> Mpress {
-    let builder = Mpress::builder().job(bert_job(zoo::bert_1_67b(), Machine::dgx1()));
-    match prefilter {
-        Some(on) => builder.prefilter(on).build(),
-        None => builder.build(),
-    }
+fn bench_system() -> Mpress {
+    Mpress::builder()
+        .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
+        .build()
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() {
     let mut out_path = "BENCH_sim.json".to_owned();
     let mut min_eps: Option<f64> = None;
@@ -95,7 +66,7 @@ fn main() {
 
     // --- Steady-state emulation throughput (arena reuse) -----------------
     mpress_par::set_jobs(1);
-    let mpress = bench_system(None);
+    let mpress = bench_system();
     let (plan, lowered) = mpress.plan().expect("planning succeeds");
     let sim = Simulator::new(
         mpress.machine(),
@@ -115,118 +86,6 @@ fn main() {
     }
     let emulate_s = start.elapsed().as_secs_f64() / RUNS as f64;
 
-    // --- Delta-replay throughput and identity gate -----------------------
-    // Capture the chosen plan once, then retime every swap directive one
-    // tensor at a time — the shape of a refinement trial.
-    let (_, base) = sim
-        .run_in_captured(&mut arena, 64)
-        .expect("captured emulation succeeds");
-    let base = base.expect("plain-config run yields a delta base");
-    let candidates: Vec<InstrumentationPlan> = plan
-        .instrumentation
-        .iter()
-        .filter_map(|(t, d)| match d {
-            MemoryDirective::SwapToHost(HostTier::Dram) => {
-                Some((t, MemoryDirective::SwapToHost(HostTier::Nvme)))
-            }
-            MemoryDirective::SwapToHost(HostTier::Nvme) => {
-                Some((t, MemoryDirective::SwapToHost(HostTier::Dram)))
-            }
-            _ => None,
-        })
-        .map(|(t, d)| {
-            let mut cand = plan.instrumentation.clone();
-            cand.assign(t, d);
-            cand
-        })
-        .collect();
-    assert!(
-        !candidates.is_empty(),
-        "chosen plan has no swap directives to retime"
-    );
-    let mut delta_identical = true;
-    let mut fast = Vec::new();
-    for cand in &candidates {
-        let cand_sim = Simulator::new(
-            mpress.machine(),
-            &lowered.graph,
-            cand,
-            plan.device_map.clone(),
-        );
-        let scratch = cand_sim.run_in(&mut arena).expect("emulation succeeds");
-        let delta = cand_sim
-            .run_in_delta(&mut arena, &base)
-            .expect("delta emulation succeeds");
-        if delta.report != scratch {
-            delta_identical = false;
-        }
-        if delta.used_delta {
-            fast.push((cand, delta.windows_replayed));
-        }
-    }
-    let delta_fast_fraction = fast.len() as f64 / candidates.len() as f64;
-    // (mean delta seconds, mean scratch seconds) over a candidate set,
-    // each loop sized to ~RUNS total emulations.
-    let mut time_set = |set: &[&InstrumentationPlan]| -> (f64, f64) {
-        let rounds = (RUNS / set.len().max(1)).max(1);
-        let sims: Vec<_> = set
-            .iter()
-            .map(|cand| {
-                Simulator::new(
-                    mpress.machine(),
-                    &lowered.graph,
-                    cand,
-                    plan.device_map.clone(),
-                )
-            })
-            .collect();
-        // The delta and scratch passes alternate within every round so
-        // machine-load drift lands on both sides of the ratio equally.
-        let mut delta_total = 0.0;
-        let mut scratch_total = 0.0;
-        for _ in 0..rounds {
-            #[allow(clippy::disallowed_methods)]
-            let start = std::time::Instant::now();
-            for cand_sim in &sims {
-                cand_sim
-                    .run_in_delta(&mut arena, &base)
-                    .expect("delta emulation succeeds");
-            }
-            delta_total += start.elapsed().as_secs_f64();
-            #[allow(clippy::disallowed_methods)]
-            let start = std::time::Instant::now();
-            for cand_sim in &sims {
-                cand_sim.run_in(&mut arena).expect("emulation succeeds");
-            }
-            scratch_total += start.elapsed().as_secs_f64();
-        }
-        let n = (rounds * sims.len()) as f64;
-        (delta_total / n, scratch_total / n)
-    };
-    let all: Vec<&InstrumentationPlan> = fast.iter().map(|&(c, _)| c).collect();
-    let (mean_delta_s, mean_scratch_s) = time_set(&all);
-    let delta_speedup_mean = mean_scratch_s / mean_delta_s;
-    // The frontier eighth: the candidates whose divergence bound lies
-    // latest (fewest windows replayed) — the suffix-local retimings the
-    // delta path exists for.
-    let mut by_replay = fast.clone();
-    by_replay.sort_by_key(|&(_, w)| w);
-    let frontier: Vec<&InstrumentationPlan> = by_replay[..(by_replay.len() / 8).max(1)]
-        .iter()
-        .map(|&(c, _)| c)
-        .collect();
-    let (delta_s, scratch_s) = time_set(&frontier);
-    let delta_speedup = scratch_s / delta_s;
-    // Peak: the single best retiming (smallest replayed suffix), timed
-    // alone — the latest-schedule polish trial the delta path targets.
-    let delta_speedup_peak = by_replay[..4.min(by_replay.len())]
-        .iter()
-        .map(|&(c, _)| {
-            let (d, s) = time_set(&[c]);
-            s / d
-        })
-        .fold(0.0f64, f64::max);
-
     // --- Plan-search wall clock (best of 6, modes interleaved so load
     // drift cannot bias one side of the jobs=8 sanity gate) --------------
     let mut wall_jobs1 = f64::INFINITY;
@@ -236,39 +95,18 @@ fn main() {
             mpress_par::set_jobs(jobs);
             #[allow(clippy::disallowed_methods)]
             let start = std::time::Instant::now();
-            bench_system(None).plan().expect("planning succeeds");
+            bench_system().plan().expect("planning succeeds");
             *slot = slot.min(start.elapsed().as_secs_f64());
         }
     }
 
-    // --- Prefilter transparency gate --------------------------------------
-    mpress_par::set_jobs(1);
-    let (plan_off, _) = bench_system(Some(false)).plan().expect("planning succeeds");
-    let (plan_on, _) = bench_system(Some(true)).plan().expect("planning succeeds");
-    let identical = plan_on.instrumentation == plan_off.instrumentation
-        && plan_on.device_map == plan_off.device_map;
-
     let json = format!(
         "{{\"emulate_ms\": {:.3}, \"emulations_per_sec\": {:.1}, \
-         \"delta_emulate_ms\": {:.3}, \"delta_emulations_per_sec\": {:.1}, \
-         \"delta_speedup\": {:.1}, \"delta_speedup_peak\": {:.1}, \
-         \"delta_speedup_mean\": {:.1}, \
-         \"delta_fast_fraction\": {:.2}, \"delta_identical\": {}, \
-         \"plan_wall_s_jobs1\": {:.3}, \"plan_wall_s_jobs8\": {:.3}, \
-         \"prefilter_skips\": {}, \"prefilter_plan_identical\": {}}}\n",
+         \"plan_wall_s_jobs1\": {:.3}, \"plan_wall_s_jobs8\": {:.3}}}\n",
         1e3 * emulate_s,
         1.0 / emulate_s,
-        1e3 * delta_s,
-        1.0 / delta_s,
-        delta_speedup,
-        delta_speedup_peak,
-        delta_speedup_mean,
-        delta_fast_fraction,
-        delta_identical,
         wall_jobs1,
         wall_jobs8,
-        plan_on.search.prefilter_skips,
-        identical
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("error: writing {out_path}: {e}");
@@ -276,30 +114,13 @@ fn main() {
     });
     print!("{json}");
     eprintln!(
-        "sim {:.3} ms/emulation ({:.0}/s), delta {:.3} ms ({:.0}/s, frontier {:.1}x, \
-         peak {:.1}x, mean {:.1}x, {:.0}% fast), plan wall {:.3}s (jobs=1) {:.3}s (jobs=8), \
-         {} prefilter skips -> {out_path}",
+        "sim {:.3} ms/emulation ({:.0}/s), plan wall {:.3}s (jobs=1) {:.3}s (jobs=8) -> {out_path}",
         1e3 * emulate_s,
         1.0 / emulate_s,
-        1e3 * delta_s,
-        1.0 / delta_s,
-        delta_speedup,
-        delta_speedup_peak,
-        delta_speedup_mean,
-        100.0 * delta_fast_fraction,
         wall_jobs1,
         wall_jobs8,
-        plan_on.search.prefilter_skips,
     );
     let mut failed = false;
-    if !identical {
-        eprintln!("error: prefilter changed the chosen plan");
-        failed = true;
-    }
-    if !delta_identical {
-        eprintln!("error: delta replay diverged from from-scratch emulation");
-        failed = true;
-    }
     // 10% margin: on the 1-core reference container both modes run the
     // identical serial code path, so any gap is scheduler noise on a
     // ~60 ms measurement — the gate only has to catch the old 2x+

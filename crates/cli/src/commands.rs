@@ -12,6 +12,7 @@ use mpress::{GraceHopperNode, GraceHopperProjection, TelemetryReport};
 use mpress_api::names;
 use mpress_api::{
     run_check, run_compare, run_plan, run_train, ApiContext, CompareRequest, PlanRequest, Request,
+    ServeError,
 };
 use mpress_pipeline::PipelineJob;
 use mpress_serve::{Client, ServeConfig};
@@ -68,12 +69,11 @@ fn search_summary(s: &mpress::SearchStats, indent: &str, candidates: Option<&[us
     let _ = write!(
         out,
         "{indent}search: {} emulator runs, {} cache hits (+{} canonical, {:.0}% hit rate), \
-         {} prefilter skips, {} verifier rejections, jobs={} (peak {} workers)",
+         {} verifier rejections, jobs={} (peak {} workers)",
         s.emulator_runs,
         s.cache_hits,
         s.cache_hits_canonical,
         100.0 * s.cache_hit_rate(),
-        s.prefilter_skips,
         s.verifier_rejections,
         s.jobs,
         s.peak_workers,
@@ -86,11 +86,6 @@ fn search_summary(s: &mpress::SearchStats, indent: &str, candidates: Option<&[us
         out,
         "{indent}bounds: {} pruned, {} certified-fit",
         s.bounds_pruned, s.bounds_certified_fit,
-    );
-    let _ = writeln!(
-        out,
-        "{indent}delta: {} replays, {}/{} windows replayed",
-        s.delta_replays, s.windows_replayed, s.windows_total,
     );
     let _ = writeln!(
         out,
@@ -204,14 +199,23 @@ fn compare_request_from(args: &Args) -> Result<CompareRequest, CliError> {
     Ok(req)
 }
 
+/// Maps a catalog miss to the CLI's flag error, keeping the catalog's
+/// message text exactly.
+fn bad_flag(e: ServeError) -> CliError {
+    match e {
+        ServeError::BadRequest(msg) => CliError::BadFlag(msg),
+        other => CliError::BadFlag(other.to_string()),
+    }
+}
+
 /// Builds the job shared by `demands` (which needs the raw job, not a
 /// planning run).
 fn job_from(args: &Args) -> Result<PipelineJob, CliError> {
-    let model = names::model(args.require("model")?)?;
-    let machine = names::machine(args.get("machine").unwrap_or("dgx1"))?;
+    let model = names::model(args.require("model")?).map_err(bad_flag)?;
+    let machine = names::machine(args.get("machine").unwrap_or("dgx1")).map_err(bad_flag)?;
     let (default_sched, default_mb, default_precision) = names::paper_defaults(&model);
     let schedule = match args.get("schedule") {
-        Some(s) => names::schedule(s)?,
+        Some(s) => names::schedule(s).map_err(bad_flag)?,
         None => default_sched,
     };
     let microbatch = args.usize_or("microbatch", default_mb)?;
@@ -752,6 +756,18 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("PCIe-only"), "{out}");
+    }
+
+    #[test]
+    fn unknown_model_lists_valid_names() {
+        let err = demands(&args(&["--model", "gpt-99b"])).unwrap_err();
+        assert!(matches!(err, CliError::BadFlag(_)));
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("unknown model `gpt-99b`; expected one of: bert-0.35b"),
+            "{msg}"
+        );
+        assert!(msg.ends_with("gpt-25.5b"), "{msg}");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 pub mod args;
 pub mod commands;
-pub mod names;
 
 use std::fmt;
 

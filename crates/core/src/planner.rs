@@ -25,8 +25,7 @@ use mpress_compaction::{
 use mpress_hw::{Bytes, DeviceId, Machine, Secs};
 use mpress_pipeline::{LoweredJob, PipelineJob};
 use mpress_sim::{
-    ArenaPool, DeltaOutcome, DeviceMap, OomEvent, PoolKind, RunBase, SimArena, SimError,
-    SimOutcome, SimReport, Simulator,
+    ArenaPool, DeviceMap, OomEvent, PoolKind, SimArena, SimError, SimOutcome, SimReport, Simulator,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -116,13 +115,6 @@ pub struct PlannerConfig {
     /// overflowing stage instead of just enough to fit (how vDNN-style
     /// GPU-CPU swap systems behave — the paper's Fig. 7 baseline).
     pub exhaustive_swap: bool,
-    /// Skip full emulation for refinement candidates whose analytic
-    /// best-case makespan already loses to the incumbent (see
-    /// [`SimArena::makespan_lower_bound`]). The default honors the
-    /// [`mpress_obs::ENV_PREFILTER`] escape hatch (`MPRESS_PREFILTER=0`
-    /// disables); the chosen plan is identical either way — only
-    /// `emulator_runs` changes.
-    pub prefilter: bool,
     /// Run the static plan verifier (`mpress-analyze`) on every
     /// candidate before emulating it, rejecting structurally invalid
     /// plans without a simulator window. Planner-emitted candidates are
@@ -132,16 +124,6 @@ pub struct PlannerConfig {
     /// [`mpress_obs::ENV_VERIFY`] escape hatch (`MPRESS_VERIFY=0`
     /// disables).
     pub verify: bool,
-    /// Incremental re-emulation: capture the refinement incumbent's run
-    /// once (`Simulator::run_in_captured`) and emulate each candidate
-    /// as a *delta* against it — restore the last window checkpoint
-    /// provably before any divergence and replay only the suffix (see
-    /// `mpress_sim::delta`). Byte-identical to from-scratch emulation,
-    /// so the chosen plan never changes; only wall-clock and the
-    /// [`SearchStats::delta_replays`] family of counters do. The
-    /// default honors the [`mpress_obs::ENV_DELTA`] escape hatch
-    /// (`MPRESS_DELTA=0` disables).
-    pub delta: bool,
     /// Certified-bounds gate (`mpress_analyze::bounds`): before
     /// emulating a refinement candidate against a non-OOM incumbent,
     /// reject candidates whose residency **lower** bound already
@@ -152,10 +134,9 @@ pub struct PlannerConfig {
     /// (MP007/MP008). Pruning is sound — only candidates the metric
     /// could never pick are dropped — so the chosen plan is byte-
     /// identical either way; only [`SearchStats::bounds_pruned`] and
-    /// [`SearchStats::bounds_certified_fit`] change. Supersedes the
-    /// [`PlannerConfig::prefilter`] lower-bound check while on. The
-    /// default honors the [`mpress_obs::ENV_BOUNDS`] escape hatch
-    /// (`MPRESS_BOUNDS=0` disables).
+    /// [`SearchStats::bounds_certified_fit`] change. The default honors
+    /// the [`mpress_obs::ENV_BOUNDS`] escape hatch (`MPRESS_BOUNDS=0`
+    /// disables).
     pub bounds: bool,
     /// Bound-and-abort emulation: refinement candidates run against a
     /// makespan bound of `incumbent * 1.001` (the acceptance slack),
@@ -188,9 +169,7 @@ impl Default for PlannerConfig {
             striping: true,
             mapping_search: true,
             exhaustive_swap: false,
-            prefilter: prefilter_default(),
             verify: verify_default(),
-            delta: delta_default(),
             bounds: bounds_default(),
             bound_abort: bound_abort_default(),
             explore: false,
@@ -238,21 +217,9 @@ impl PlannerConfig {
         self
     }
 
-    /// Toggles the analytic lower-bound pre-filter.
-    pub fn prefilter(mut self, on: bool) -> Self {
-        self.prefilter = on;
-        self
-    }
-
     /// Toggles the static plan verifier hook.
     pub fn verify(mut self, on: bool) -> Self {
         self.verify = on;
-        self
-    }
-
-    /// Toggles incremental (delta) re-emulation.
-    pub fn delta(mut self, on: bool) -> Self {
-        self.delta = on;
         self
     }
 
@@ -301,40 +268,14 @@ fn bound_abort_default() -> bool {
     })
 }
 
-/// Process-wide default for [`PlannerConfig::delta`]: on, unless
-/// `MPRESS_DELTA` is set to `0`, `false` or `off`. Read once and
-/// cached, like the other [`mpress_obs`] switches.
-fn delta_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var(mpress_obs::ENV_DELTA).as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
-}
-
 /// Process-wide default for [`PlannerConfig::verify`]: on, unless
 /// `MPRESS_VERIFY` is set to `0`, `false` or `off`. Read once and
-/// cached, like [`prefilter_default`].
+/// cached, like the other [`mpress_obs`] switches.
 fn verify_default() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         !matches!(
             std::env::var(mpress_obs::ENV_VERIFY).as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
-}
-
-/// Process-wide default for [`PlannerConfig::prefilter`]: on, unless
-/// `MPRESS_PREFILTER` is set to `0`, `false` or `off`. Read once and
-/// cached, like the other [`mpress_obs`] switches.
-fn prefilter_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var(mpress_obs::ENV_PREFILTER).as_deref(),
             Ok("0") | Ok("false") | Ok("off")
         )
     })
@@ -350,10 +291,6 @@ pub struct SearchStats {
     pub emulator_runs: usize,
     /// `emulate()` calls answered from the memoization cache.
     pub cache_hits: usize,
-    /// Refinement candidates skipped by the analytic lower-bound
-    /// pre-filter without running the emulator (see
-    /// [`PlannerConfig::prefilter`]).
-    pub prefilter_skips: usize,
     /// Candidates rejected by the static plan verifier before emulation
     /// (see [`PlannerConfig::verify`]). Zero on every planner-driven
     /// search: the planner only emits structurally valid plans.
@@ -365,15 +302,14 @@ pub struct SearchStats {
     /// `emulate()` calls answered by the canonical (device-permutation
     /// invariant) cache view after an exact-key miss (see `canon_key`).
     pub cache_hits_canonical: usize,
-    /// Emulator runs that restored a divergence checkpoint and replayed
-    /// only a window suffix instead of simulating from scratch.
+    /// Always 0: incremental (delta) re-emulation was removed. Kept
+    /// only because the repo benchmark (`perfbench`) still reads it.
     pub delta_replays: usize,
-    /// Windows actually re-simulated across delta-eligible emulations
-    /// (fallbacks count their full window total).
+    /// Always 0; kept only because the repo benchmark still reads it
+    /// (see [`SearchStats::delta_replays`]).
     pub windows_replayed: usize,
-    /// Total windows across delta-eligible emulations; together with
-    /// [`SearchStats::windows_replayed`] this measures how much of the
-    /// schedule the delta path stitched from the incumbent's run.
+    /// Always 0; kept only because the repo benchmark still reads it
+    /// (see [`SearchStats::delta_replays`]).
     pub windows_total: usize,
     /// Candidates the certified-bounds gate pruned without emulation:
     /// certified-OOM residency (MP013) or a certified makespan lower
@@ -503,11 +439,7 @@ struct EmulationCache {
     runs: AtomicUsize,
     hits: AtomicUsize,
     canon_hits: AtomicUsize,
-    prefilter_skips: AtomicUsize,
     verifier_rejections: AtomicUsize,
-    delta_replays: AtomicUsize,
-    windows_replayed: AtomicUsize,
-    windows_total: AtomicUsize,
     bounds_pruned: AtomicUsize,
     bounds_certified_fit: AtomicUsize,
     /// Memoized residency verdicts `(certified_oom, certified_fit)`
@@ -748,11 +680,11 @@ struct SpecShared {
     /// exactly once, so no candidate is ever emulated twice
     /// concurrently.
     results: Mutex<HashMap<u64, SpecState>>,
-    /// The incumbent metric and delta base speculative evaluations race
-    /// against. Updated by the adjudicator on commit; a stale snapshot
+    /// The incumbent metric speculative evaluations race against.
+    /// Updated by the adjudicator on commit; a stale snapshot
     /// only makes a speculative verdict *inconclusive* (see
     /// [`SpecResult::Lost`]), never wrong.
-    incumbent: Mutex<(Metric, Option<Arc<RunBase>>)>,
+    incumbent: Mutex<Metric>,
 }
 
 /// One evaluation slot in [`SpecShared::results`].
@@ -897,14 +829,13 @@ impl<'a> Planner<'a> {
         SearchStats {
             emulator_runs: self.cache.runs.load(Ordering::Relaxed),
             cache_hits: self.cache.hits.load(Ordering::Relaxed),
-            prefilter_skips: self.cache.prefilter_skips.load(Ordering::Relaxed),
             verifier_rejections: self.cache.verifier_rejections.load(Ordering::Relaxed),
             jobs: mpress_par::pool_width(),
             peak_workers: mpress_par::stats().peak_workers,
             cache_hits_canonical: self.cache.canon_hits.load(Ordering::Relaxed),
-            delta_replays: self.cache.delta_replays.load(Ordering::Relaxed),
-            windows_replayed: self.cache.windows_replayed.load(Ordering::Relaxed),
-            windows_total: self.cache.windows_total.load(Ordering::Relaxed),
+            delta_replays: 0,
+            windows_replayed: 0,
+            windows_total: 0,
             bounds_pruned: self.cache.bounds_pruned.load(Ordering::Relaxed),
             bounds_certified_fit: self.cache.bounds_certified_fit.load(Ordering::Relaxed),
             steals: self.cache.steals.load(Ordering::Relaxed),
@@ -1241,26 +1172,6 @@ impl<'a> Planner<'a> {
         if (opts.d2d || opts.recompute) && self.config.refine_iters > 0 {
             let mut best_plan = self.emit(classes, &choice, &budgets, &device_map)?;
             let (mut best_metric, _) = self.emulate(&best_plan, &device_map)?;
-            // Delta base: one captured run of the incumbent lets every
-            // candidate below replay only its divergent suffix. The
-            // base is refreshed whenever the incumbent changes so diffs
-            // stay single-choice; an OOM incumbent has no usable base.
-            let mut delta_base: Option<Arc<RunBase>> = if self.config.delta && !best_metric.oom {
-                self.capture_base(&best_plan, &device_map)?.map(Arc::new)
-            } else {
-                None
-            };
-            // Class-wide trials (every instance of a tensor class flips
-            // at once) can pin the divergence bound so early that every
-            // replay falls back — then each base capture is pure
-            // overhead. After `DELTA_DRY_ROUNDS` consecutive commit
-            // windows whose delta-eligible emulations all fell back,
-            // stop capturing for the rest of this search. Capture
-            // decisions only steer wall-clock (delta replay is byte-
-            // identical), so reading the racy counter here cannot
-            // change the chosen plan at any worker count.
-            let mut dry_commits = 0usize;
-            let mut replays_mark = self.cache.delta_replays.load(Ordering::Relaxed);
             // Every assigned class is a replacement candidate: estimated
             // overheads order them, but queuing delays the estimates miss
             // are caught by the emulator, so zero-estimate classes are
@@ -1293,7 +1204,7 @@ impl<'a> Planner<'a> {
             let shared = SpecShared {
                 jobs: Mutex::new(HashMap::new()),
                 results: Mutex::new(HashMap::new()),
-                incumbent: Mutex::new((best_metric, delta_base.clone())),
+                incumbent: Mutex::new(best_metric),
             };
             let width = mpress_par::pool_width();
             let spec_before = self.cache.spec_runs.load(Ordering::Relaxed);
@@ -1411,12 +1322,8 @@ impl<'a> Planner<'a> {
                         };
                         let (verdict, was_spec) = match verdict {
                             SpecResult::Lost { threshold } if threshold < now_threshold => {
-                                let fresh = self.evaluate_candidate(
-                                    &entry.plan,
-                                    &device_map,
-                                    best_metric,
-                                    delta_base.as_deref(),
-                                );
+                                let fresh =
+                                    self.evaluate_candidate(&entry.plan, &device_map, best_metric);
                                 (fresh, false)
                             }
                             other => (other, was_spec),
@@ -1450,33 +1357,8 @@ impl<'a> Planner<'a> {
                                 consumed[victim] = true;
                                 refine_candidates.push(since_commit);
                                 since_commit = 0;
-                                if delta_base.is_some() {
-                                    if self.cache.delta_replays.load(Ordering::Relaxed)
-                                        == replays_mark
-                                    {
-                                        dry_commits += 1;
-                                    } else {
-                                        dry_commits = 0;
-                                    }
-                                }
-                                if self.config.delta
-                                    && !best_metric.oom
-                                    && dry_commits < DELTA_DRY_ROUNDS
-                                {
-                                    delta_base =
-                                        self.capture_base(&best_plan, &device_map)?.map(Arc::new);
-                                } else {
-                                    // Past the dry-spell cutoff (or OOM
-                                    // incumbent): drop the base entirely
-                                    // so later candidates take the
-                                    // scratch path instead of paying the
-                                    // delta machinery's always-fallback
-                                    // replay against a stale base.
-                                    delta_base = None;
-                                }
-                                replays_mark = self.cache.delta_replays.load(Ordering::Relaxed);
                                 *shared.incumbent.lock().expect("spec incumbent lock") =
-                                    (best_metric, delta_base.clone());
+                                    best_metric;
                                 // Invalidate the speculative frontier:
                                 // every queued candidate was built on
                                 // the replaced incumbent.
@@ -1543,12 +1425,8 @@ impl<'a> Planner<'a> {
                 }
                 if stripped != choice {
                     let trial_plan = self.emit(classes, &stripped, &budgets, &device_map)?;
-                    let metric = self.emulate_bounded_with(
-                        &trial_plan,
-                        &device_map,
-                        Some(best_metric),
-                        delta_base.as_deref(),
-                    )?;
+                    let metric =
+                        self.emulate_bounded(&trial_plan, &device_map, Some(best_metric))?;
                     rounds += 1;
                     refine_candidates.push(1);
                     if let Some((metric, _)) = metric {
@@ -1576,12 +1454,7 @@ impl<'a> Planner<'a> {
                 }
                 if rec_choice != choice {
                     let rec_plan = self.emit(classes, &rec_choice, &budgets, &device_map)?;
-                    let metric = self.emulate_bounded_with(
-                        &rec_plan,
-                        &device_map,
-                        Some(best_metric),
-                        delta_base.as_deref(),
-                    )?;
+                    let metric = self.emulate_bounded(&rec_plan, &device_map, Some(best_metric))?;
                     rounds += 1;
                     refine_candidates.push(1);
                     if let Some((metric, _)) = metric {
@@ -1755,12 +1628,12 @@ impl<'a> Planner<'a> {
     }
 
     /// [`Planner::emulate`] with an optional incumbent to beat. When the
-    /// pre-filter is enabled and the candidate's analytic best case (see
-    /// [`SimArena::makespan_lower_bound`]) already loses to a non-OOM
-    /// incumbent by more than the acceptance slack, the emulator run is
-    /// skipped and `None` is returned — by [`metric_better`]'s rules such
-    /// a candidate could never have been accepted, so the search outcome
-    /// is unchanged and only `SearchStats::prefilter_skips` grows.
+    /// certified-bounds gate or bound-and-abort emulation proves that
+    /// the candidate cannot beat a non-OOM incumbent (see
+    /// [`PlannerConfig::bounds`] and [`PlannerConfig::bound_abort`]),
+    /// `None` is returned — by [`metric_better`]'s rules such a
+    /// candidate could never have been accepted, so the search outcome
+    /// is unchanged.
     ///
     /// # Errors
     ///
@@ -1771,39 +1644,23 @@ impl<'a> Planner<'a> {
         device_map: &DeviceMap,
         incumbent: Option<Metric>,
     ) -> Result<Option<(Metric, Option<OomEvent>)>, SimError> {
-        self.emulate_bounded_with(plan, device_map, incumbent, None)
-    }
-
-    /// [`Planner::emulate_bounded`] with an optional delta base: when
-    /// the candidate survives the cache/verifier/pre-filter gates, the
-    /// emulation replays against `base` instead of running from scratch
-    /// (see [`PlannerConfig::delta`]). The outcome is byte-identical.
-    fn emulate_bounded_with(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-        incumbent: Option<Metric>,
-        base: Option<&RunBase>,
-    ) -> Result<Option<(Metric, Option<OomEvent>)>, SimError> {
-        match self.emulate_gated(plan, device_map, incumbent, base)? {
+        match self.emulate_gated(plan, device_map, incumbent)? {
             Gated::Outcome(metric, oom) => Ok(Some((metric, oom))),
             Gated::Rejected | Gated::CertifiedLoss | Gated::Lost => Ok(None),
         }
     }
 
     /// The full candidate gate chain — memoization caches, certified
-    /// bounds, static verifier, lower-bound prune, then a (possibly
-    /// bound-and-abort) emulator window — reporting *which* gate
-    /// resolved the candidate. Aborted windows are never cached: an
-    /// abort certifies a loss against the gating incumbent, not an
-    /// outcome, and caching it would make cache contents depend on
-    /// evaluation timing.
+    /// bounds, static verifier, then a (possibly bound-and-abort)
+    /// emulator window — reporting *which* gate resolved the candidate.
+    /// Aborted windows are never cached: an abort certifies a loss
+    /// against the gating incumbent, not an outcome, and caching it
+    /// would make cache contents depend on evaluation timing.
     fn emulate_gated(
         &self,
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
         incumbent: Option<Metric>,
-        base: Option<&RunBase>,
     ) -> Result<Gated, SimError> {
         let key = cache_key(plan, device_map);
         if let Some((metric, oom)) = self.cache.lookup(key) {
@@ -1891,19 +1748,6 @@ impl<'a> Planner<'a> {
                     }
                 }
             }
-        } else if self.config.prefilter {
-            // Legacy analytic pre-filter: the same lower-bound prune,
-            // kept as the fallback when the bounds gate is off (counted
-            // separately so A/B runs stay comparable).
-            if let Some(best) = incumbent {
-                if !best.oom {
-                    let lb = self.frontier_lb(key, plan, device_map);
-                    if lb > best.makespan * 1.001 {
-                        self.cache.prefilter_skips.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Gated::Lost);
-                    }
-                }
-            }
         }
         // Bound-and-abort: against a feasible incumbent the emulator
         // only needs to run far enough to prove a loss — anything past
@@ -1912,7 +1756,7 @@ impl<'a> Planner<'a> {
             Some(best) if self.config.bound_abort && !best.oom => Some(best.makespan * 1.001),
             _ => None,
         };
-        match self.emulate_uncached_bounded(plan, device_map, base, bound)? {
+        match self.emulate_uncached_bounded(plan, device_map, bound)? {
             RunOut::Aborted => Ok(Gated::Lost),
             RunOut::Done(outcome) => {
                 self.cache.insert(key, outcome);
@@ -1937,19 +1781,7 @@ impl<'a> Planner<'a> {
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
     ) -> Result<(Metric, Option<OomEvent>), SimError> {
-        self.emulate_uncached_with(plan, device_map, None)
-    }
-
-    /// One real simulator window, optionally replayed as a delta
-    /// against a captured base (byte-identical either way — the
-    /// property suite pins it).
-    fn emulate_uncached_with(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-        base: Option<&RunBase>,
-    ) -> Result<(Metric, Option<OomEvent>), SimError> {
-        match self.emulate_uncached_bounded(plan, device_map, base, None)? {
+        match self.emulate_uncached_bounded(plan, device_map, None)? {
             RunOut::Done(outcome) => Ok(outcome),
             RunOut::Aborted => unreachable!("an unbounded emulator run cannot exceed a bound"),
         }
@@ -1964,61 +1796,19 @@ impl<'a> Planner<'a> {
         &self,
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
-        base: Option<&RunBase>,
         bound: Option<Secs>,
     ) -> Result<RunOut, SimError> {
         self.charge_cancel()?;
         self.cache.runs.fetch_add(1, Ordering::Relaxed);
-        let report = match base {
-            Some(base) => {
-                let outcome = self.with_arena(|arena| {
-                    Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
-                        .run_in_delta_bounded(arena, base, bound)
-                })?;
-                match outcome {
-                    DeltaOutcome::Completed(delta) => {
-                        self.cache
-                            .windows_total
-                            .fetch_add(delta.windows_total, Ordering::Relaxed);
-                        self.cache
-                            .windows_replayed
-                            .fetch_add(delta.windows_replayed, Ordering::Relaxed);
-                        if delta.used_delta {
-                            self.cache.delta_replays.fetch_add(1, Ordering::Relaxed);
-                        }
-                        delta.report
-                    }
-                    DeltaOutcome::BoundExceeded {
-                        windows_total,
-                        windows_replayed,
-                        ..
-                    } => {
-                        self.cache
-                            .windows_total
-                            .fetch_add(windows_total, Ordering::Relaxed);
-                        self.cache
-                            .windows_replayed
-                            .fetch_add(windows_replayed, Ordering::Relaxed);
-                        if windows_replayed < windows_total {
-                            self.cache.delta_replays.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.cache.bound_aborts.fetch_add(1, Ordering::Relaxed);
-                        return Ok(RunOut::Aborted);
-                    }
-                }
-            }
-            None => {
-                let outcome = self.with_arena(|arena| {
-                    Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
-                        .run_in_bounded(arena, bound)
-                })?;
-                match outcome {
-                    SimOutcome::Completed(report) => report,
-                    SimOutcome::BoundExceeded { .. } => {
-                        self.cache.bound_aborts.fetch_add(1, Ordering::Relaxed);
-                        return Ok(RunOut::Aborted);
-                    }
-                }
+        let outcome = self.with_arena(|arena| {
+            Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
+                .run_in_bounded(arena, bound)
+        })?;
+        let report = match outcome {
+            SimOutcome::Completed(report) => report,
+            SimOutcome::BoundExceeded { .. } => {
+                self.cache.bound_aborts.fetch_add(1, Ordering::Relaxed);
+                return Ok(RunOut::Aborted);
             }
         };
         Ok(RunOut::Done((
@@ -2055,14 +1845,13 @@ impl<'a> Planner<'a> {
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
         incumbent: Metric,
-        base: Option<&RunBase>,
     ) -> SpecResult {
         let threshold = if incumbent.oom {
             f64::INFINITY
         } else {
             incumbent.makespan * 1.001
         };
-        match self.emulate_gated(plan, device_map, Some(incumbent), base) {
+        match self.emulate_gated(plan, device_map, Some(incumbent)) {
             Ok(Gated::Outcome(metric, _)) => SpecResult::Outcome(metric),
             Ok(Gated::Rejected) => SpecResult::Rejected,
             Ok(Gated::CertifiedLoss) => SpecResult::CertifiedLoss,
@@ -2092,12 +1881,8 @@ impl<'a> Planner<'a> {
             }
             results.insert(key, SpecState::Claimed);
         }
-        let (incumbent, base) = shared
-            .incumbent
-            .lock()
-            .expect("spec incumbent lock")
-            .clone();
-        let verdict = self.evaluate_candidate(&plan, device_map, incumbent, base.as_deref());
+        let incumbent = *shared.incumbent.lock().expect("spec incumbent lock");
+        let verdict = self.evaluate_candidate(&plan, device_map, incumbent);
         self.cache.spec_runs.fetch_add(1, Ordering::Relaxed);
         shared
             .results
@@ -2128,13 +1913,8 @@ impl<'a> Planner<'a> {
                     None => {
                         results.insert(key, SpecState::Claimed);
                         drop(results);
-                        let (incumbent, base) = shared
-                            .incumbent
-                            .lock()
-                            .expect("spec incumbent lock")
-                            .clone();
-                        let verdict =
-                            self.evaluate_candidate(plan, device_map, incumbent, base.as_deref());
+                        let incumbent = *shared.incumbent.lock().expect("spec incumbent lock");
+                        let verdict = self.evaluate_candidate(plan, device_map, incumbent);
                         shared
                             .results
                             .lock()
@@ -2313,37 +2093,7 @@ impl<'a> Planner<'a> {
             .insert(key, v);
         v
     }
-
-    /// Captures the refinement incumbent's run as a delta base (one
-    /// full emulator run, counted in `emulator_runs`). Returns `None`
-    /// when the run is not a usable base — non-plain config or OOM.
-    fn capture_base(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-    ) -> Result<Option<RunBase>, SimError> {
-        self.charge_cancel()?;
-        self.cache.runs.fetch_add(1, Ordering::Relaxed);
-        let (_, base) = self.with_arena(|arena| {
-            Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
-                .run_in_captured(arena, DELTA_WINDOWS)
-        })?;
-        Ok(base)
-    }
 }
-
-/// Window count for delta bases: checkpoints cost O(tasks) memory each,
-/// and finer windows only help while checkpoint spacing stays above the
-/// restore overhead — 16 matches the granularity the divergence bounds
-/// can actually exploit.
-const DELTA_WINDOWS: usize = 16;
-
-/// Consecutive all-fallback refinement rounds after which the planner
-/// stops capturing delta bases for the rest of the search (see the
-/// refinement loop): each capture is a full checkpointing run, so when
-/// a workload's class-wide trials can never replay a suffix, continuing
-/// to capture would only slow the search down.
-const DELTA_DRY_ROUNDS: usize = 3;
 
 /// Reserves donor budget for a whole class (all peak-resident instances).
 /// Returns false (reserving nothing) when the donors cannot absorb it.

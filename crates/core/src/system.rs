@@ -205,11 +205,11 @@ impl Mpress {
         // walk never proposes, so it steers the search and must split
         // the digest.
         h = fnv_u64(h, u64::from(c.explore));
-        // prefilter/verify/delta/bounds/bound_abort are outcome-
-        // transparent (the property suite pins plan identity with them
-        // on or off), so they are deliberately not part of the digest:
-        // a plan computed with delta off answers a request with delta
-        // on, and vice versa.
+        // verify/bounds/bound_abort are outcome-transparent (the
+        // property suite pins plan identity with them on or off), so
+        // they are deliberately not part of the digest: a plan computed
+        // with bounds off answers a request with bounds on, and vice
+        // versa.
         h
     }
 
@@ -313,9 +313,7 @@ pub struct MpressBuilder {
     refine_iters: Option<usize>,
     striping: Option<bool>,
     mapping_search: Option<bool>,
-    prefilter: Option<bool>,
     verify: Option<bool>,
-    delta: Option<bool>,
     bounds: Option<bool>,
     bound_abort: Option<bool>,
     explore: Option<bool>,
@@ -368,27 +366,11 @@ impl MpressBuilder {
         self
     }
 
-    /// Toggles the planner's analytic lower-bound pre-filter (on by
-    /// default unless `MPRESS_PREFILTER=0`; the chosen plan is identical
-    /// either way — only the emulator-run count changes).
-    pub fn prefilter(mut self, on: bool) -> Self {
-        self.prefilter = Some(on);
-        self
-    }
-
     /// Toggles the planner's static plan verifier hook (on by default
     /// unless `MPRESS_VERIFY=0`; the chosen plan is identical either
     /// way — planner-emitted candidates are always structurally valid).
     pub fn verify(mut self, on: bool) -> Self {
         self.verify = Some(on);
-        self
-    }
-
-    /// Toggles the planner's incremental re-emulation (on by default
-    /// unless `MPRESS_DELTA=0`; the chosen plan is byte-identical either
-    /// way — only wall-clock and the delta counters change).
-    pub fn delta(mut self, on: bool) -> Self {
-        self.delta = Some(on);
         self
     }
 
@@ -487,14 +469,8 @@ impl MpressBuilder {
         if let Some(m) = self.mapping_search {
             config.mapping_search = m;
         }
-        if let Some(p) = self.prefilter {
-            config.prefilter = p;
-        }
         if let Some(v) = self.verify {
             config.verify = v;
-        }
-        if let Some(d) = self.delta {
-            config.delta = d;
         }
         if let Some(b) = self.bounds {
             config.bounds = b;

@@ -33,6 +33,5 @@ pub use recorder::{Histogram, HistogramSnapshot, MetricsRecorder, MetricsReport}
 pub use stall::{StallBreakdown, StallCause};
 pub use verbosity::{
     parse_trace_window, trace_window, verbosity, TraceWindow, Verbosity, ENV_BOUNDS,
-    ENV_BOUND_ABORT, ENV_DELTA, ENV_PLAN_DEBUG, ENV_PREFILTER, ENV_SIM_DEBUG, ENV_SIM_TRACE,
-    ENV_TRACE_WINDOW, ENV_VERIFY,
+    ENV_BOUND_ABORT, ENV_PLAN_DEBUG, ENV_SIM_DEBUG, ENV_SIM_TRACE, ENV_TRACE_WINDOW, ENV_VERIFY,
 };

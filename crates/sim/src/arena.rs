@@ -281,7 +281,6 @@ pub(crate) struct Buffers {
     pub(crate) active_swaps: Vec<u32>,
     pub(crate) runnable_swaps: Vec<u32>,
     pub(crate) scratch_alloc: Vec<usize>,
-    pub(crate) specs: Vec<crate::engine::LegSpec>,
 }
 
 /// A reusable allocation arena for repeated simulator runs.
@@ -439,7 +438,7 @@ impl SimArena {
     }
 
     /// The analytic cost inputs the bounds pass and the planner's
-    /// prefilter share, computed in one walk over the plan.
+    /// frontier ordering share, computed in one walk over the plan.
     ///
     /// The lower bound combines two constraints every simulated schedule
     /// must respect:
@@ -594,8 +593,8 @@ impl SimArena {
     }
 }
 
-/// Analytic cost inputs shared by the planner's prefilter and the
-/// certified-bounds pass, computed by [`SimArena::cost_profile`].
+/// Analytic cost inputs shared by the planner's frontier ordering and
+/// the certified-bounds pass, computed by [`SimArena::cost_profile`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Certified makespan lower bound (critical path vs copy-engine

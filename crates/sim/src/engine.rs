@@ -194,7 +194,7 @@ pub enum SimOutcome {
 
 /// Total-ordered wrapper for event times (panics on NaN by construction).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdTime(pub(crate) Secs);
+struct OrdTime(Secs);
 
 impl Eq for OrdTime {}
 
@@ -225,11 +225,11 @@ pub(crate) enum StreamKind {
 }
 
 /// Streams per device (one slot per [`StreamKind`]).
-pub(crate) const STREAMS_PER_DEV: usize = 4;
+const STREAMS_PER_DEV: usize = 4;
 
 /// The flat stream index of `(dev, kind)`.
 #[inline]
-pub(crate) fn sid(dev: usize, kind: StreamKind) -> usize {
+fn sid(dev: usize, kind: StreamKind) -> usize {
     dev * STREAMS_PER_DEV + kind as usize
 }
 
@@ -241,13 +241,13 @@ pub(crate) fn sid(dev: usize, kind: StreamKind) -> usize {
 /// parallel == serial plan search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct CompletionKey {
-    pub(crate) time: OrdTime,
-    pub(crate) stream: StreamKind,
-    pub(crate) seq: usize,
+    time: OrdTime,
+    stream: StreamKind,
+    seq: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Payload {
+enum Payload {
     Op(OpId),
     SwapOut(TensorId),
     SwapIn(TensorId),
@@ -255,41 +255,41 @@ pub(crate) enum Payload {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Task {
-    pub(crate) payload: Payload,
-    pub(crate) device: DeviceId,
-    pub(crate) stream: StreamKind,
-    pub(crate) duration: Secs,
-    pub(crate) deps: usize,
-    pub(crate) trigger_fired: bool,
-    pub(crate) dependents: Vec<usize>,
-    pub(crate) started: bool,
-    pub(crate) done: bool,
+    payload: Payload,
+    device: DeviceId,
+    stream: StreamKind,
+    duration: Secs,
+    deps: usize,
+    trigger_fired: bool,
+    dependents: Vec<usize>,
+    started: bool,
+    done: bool,
     /// Whether the task currently sits in its stream's ready list
     /// (non-FIFO streams only; avoids duplicate entries).
-    pub(crate) in_ready: bool,
+    in_ready: bool,
     /// Scheduling priority on non-FIFO streams: swap-ins carry their
     /// consumer's task id so prefetches land in execution order (fetching
     /// a later layer's tensor first can deadlock the earlier one out of
     /// memory). Lower runs first.
-    pub(crate) priority: usize,
+    priority: usize,
     /// For swap-ins: the (device, position) on the consumer's compute
     /// stream before which the fetch may not start — demand-window
     /// admission that stops far-future prefetches from squatting on
     /// memory the near-term work needs.
-    pub(crate) admit: Option<(usize, usize)>,
-    pub(crate) start: Secs,
-    pub(crate) end: Secs,
+    admit: Option<(usize, usize)>,
+    start: Secs,
+    end: Secs,
     /// When the last dependency resolved (0 for tasks born ready). Feeds
     /// stall attribution: the gap before `ready_at` is dependency wait,
     /// the gap after is memory/back-pressure wait.
-    pub(crate) ready_at: Secs,
+    ready_at: Secs,
     /// Whether the dependency that resolved last was a swap-in copy —
     /// splits dependency wait into exposed-copy vs pipeline stall.
-    pub(crate) dep_wait_is_copy: bool,
+    dep_wait_is_copy: bool,
 }
 
 impl Task {
-    pub(crate) fn is_ready(&self) -> bool {
+    fn is_ready(&self) -> bool {
         !self.started && self.deps == 0 && self.trigger_fired
     }
 }
@@ -298,13 +298,13 @@ impl Task {
 pub(crate) struct Stream {
     /// In-order (FIFO) streams model CUDA compute/comm queues; copy
     /// streams pick any ready task.
-    pub(crate) fifo: bool,
-    pub(crate) queue: Vec<usize>,
-    pub(crate) cursor: usize,
-    pub(crate) busy: bool,
+    fifo: bool,
+    queue: Vec<usize>,
+    cursor: usize,
+    busy: bool,
     /// Dependency-ready, unstarted tasks (non-FIFO streams only) —
     /// bookkeeping that keeps scheduling O(ready) instead of O(queued).
-    pub(crate) ready: Vec<usize>,
+    ready: Vec<usize>,
 }
 
 impl Stream {
@@ -350,11 +350,11 @@ pub(crate) enum Loc {
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'a> {
-    pub(crate) machine: &'a Machine,
-    pub(crate) graph: &'a TrainingGraph,
-    pub(crate) plan: &'a InstrumentationPlan,
-    pub(crate) device_map: DeviceMap,
-    pub(crate) config: SimConfig,
+    machine: &'a Machine,
+    graph: &'a TrainingGraph,
+    plan: &'a InstrumentationPlan,
+    device_map: DeviceMap,
+    config: SimConfig,
 }
 
 impl<'a> Simulator<'a> {
@@ -450,7 +450,7 @@ impl<'a> Simulator<'a> {
         result.map(SimOutcome::Completed)
     }
 
-    pub(crate) fn validate_inputs(&self, pre: &Prebuilt) -> Result<(), SimError> {
+    fn validate_inputs(&self, pre: &Prebuilt) -> Result<(), SimError> {
         if self.device_map.len() != self.graph.n_stages() {
             return Err(SimError::BadDeviceMap(format!(
                 "map covers {} stages, graph has {}",
@@ -548,7 +548,7 @@ fn emit_task(
 
 /// Copy direction of a swap leg; fixes the payload and stream kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LegKind {
+enum LegKind {
     /// Export (`SwapOut` on the copy-out stream).
     Out,
     /// Import (`SwapIn` on the copy-in stream).
@@ -558,34 +558,33 @@ pub(crate) enum LegKind {
 /// One swap task ("leg") an instrumentation directive expands into,
 /// described structurally before any task exists. `build` emits the
 /// swap tasks from this list in order — leg task id = `n_ops + spec
-/// index` — and the delta-replay path diffs an incumbent's list against
-/// a candidate's to bound where the two simulations can first diverge.
+/// index`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct LegSpec {
-    pub(crate) tensor: TensorId,
-    pub(crate) kind: LegKind,
-    pub(crate) dur: Secs,
+struct LegSpec {
+    tensor: TensorId,
+    kind: LegKind,
+    dur: Secs,
     /// Op task id this leg depends on: the producer for a dynamic
     /// tensor's initial export, the consumer just served for a
     /// re-export. `None` for imports and static initial exports.
-    pub(crate) op_dep: Option<usize>,
+    op_dep: Option<usize>,
     /// Spec index of the export this import depends on (`None` for a
     /// static tensor's first import — the tensor starts swapped out).
-    pub(crate) out_dep: Option<usize>,
+    out_dep: Option<usize>,
     /// The consumer op an import feeds (doubles as its priority).
-    pub(crate) consumer: Option<usize>,
+    consumer: Option<usize>,
     /// Prefetch trigger: the import stays untriggered until this op
     /// starts.
-    pub(crate) anchor: Option<usize>,
+    anchor: Option<usize>,
     /// Demand-window admission `(device, compute position)`.
-    pub(crate) admit: Option<(usize, usize)>,
+    admit: Option<(usize, usize)>,
 }
 
 /// Expands the plan's swap directives into the ordered leg-spec list.
 /// `op_dur` must return the *folded* compute duration of an op task
 /// (recomputation included) — the prefetch-anchor walk measures lead
 /// time in folded durations, exactly as the emitted tasks will run.
-pub(crate) fn plan_legs(
+fn plan_legs(
     machine: &Machine,
     graph: &TrainingGraph,
     plan: &InstrumentationPlan,
@@ -693,70 +692,66 @@ pub(crate) fn plan_legs(
 /// All mutable engine state for one run. Borrows the instrumentation
 /// plan and the arena's prebuilt tables (`'p`) so directives, stripe
 /// layouts and graph-derived tables are referenced, not cloned.
-pub(crate) struct EngineState<'p> {
-    pub(crate) pre: &'p Prebuilt,
-    pub(crate) tasks: Vec<Task>,
+struct EngineState<'p> {
+    pre: &'p Prebuilt,
+    tasks: Vec<Task>,
     /// Flat stream table indexed by [`sid`].
-    pub(crate) streams: Vec<Stream>,
+    streams: Vec<Stream>,
     /// Work-list flags: streams whose scheduling state may have changed
     /// since they were last visited. The fast start-pass skips clean
     /// streams; every event that could enable a start marks one.
-    pub(crate) dirty: Vec<bool>,
+    dirty: Vec<bool>,
     /// Every task with `is_ready()` true, ordered by task id — the
     /// indexed replacement for the quiescent full-task blocked scan.
-    pub(crate) ready_set: crate::arena::ReadySet,
-    pub(crate) heap: BinaryHeap<Reverse<CompletionKey>>,
-    pub(crate) clock: Secs,
-    pub(crate) memory: MemoryTracker,
-    pub(crate) residency: Vec<Loc>,
+    ready_set: crate::arena::ReadySet,
+    heap: BinaryHeap<Reverse<CompletionKey>>,
+    clock: Secs,
+    memory: MemoryTracker,
+    residency: Vec<Loc>,
     /// op task id (dense, `< n_ops`) -> swap-in task ids it triggers on
     /// start.
-    pub(crate) triggers: Vec<Vec<usize>>,
+    triggers: Vec<Vec<usize>>,
     /// tensor home device.
-    pub(crate) home: Vec<DeviceId>,
+    home: Vec<DeviceId>,
     /// directive lookup by tensor index.
-    pub(crate) directive: Vec<Option<&'p MemoryDirective>>,
-    /// The leg specs the swap tasks were emitted from (leg task id =
-    /// `n_ops + spec index`); recycled through [`Buffers`] and diffed by
-    /// the delta-replay path.
-    pub(crate) specs: Vec<LegSpec>,
-    pub(crate) d2d_traffic: Bytes,
-    pub(crate) host_traffic: Bytes,
-    pub(crate) nvme_traffic: Bytes,
-    pub(crate) recompute_time: Secs,
-    pub(crate) completed: usize,
-    pub(crate) memory_gate: bool,
-    pub(crate) reference_scan: bool,
+    directive: Vec<Option<&'p MemoryDirective>>,
+    d2d_traffic: Bytes,
+    host_traffic: Bytes,
+    nvme_traffic: Bytes,
+    recompute_time: Secs,
+    completed: usize,
+    memory_gate: bool,
+    reference_scan: bool,
     /// stage -> hosting device index.
-    pub(crate) stage_device: Vec<usize>,
+    stage_device: Vec<usize>,
     /// tensor index -> number of swap tasks currently *running* (started,
     /// not done); eviction requires zero — pending-but-unrunnable legs
     /// (e.g. a trailing export gated on a far-future consumer) must not
     /// pin a prefetched tensor in memory.
-    pub(crate) active_swaps: Vec<u32>,
+    active_swaps: Vec<u32>,
     /// tensor index -> number of swap tasks that are unstarted but already
     /// runnable (dependencies met). Evicting such a tensor would duplicate
     /// an imminent export, so eviction also requires zero here.
-    pub(crate) runnable_swaps: Vec<u32>,
-    pub(crate) evictions: usize,
+    runnable_swaps: Vec<u32>,
+    evictions: usize,
     /// Refetch copies scheduled for evicted tensors with a future reader.
-    pub(crate) refetches: usize,
-    pub(crate) pcie_curve: mpress_hw::BandwidthCurve,
-    pub(crate) trace: Option<Vec<TraceEvent>>,
+    refetches: usize,
+    pcie_curve: mpress_hw::BandwidthCurve,
+    trace: Option<Vec<TraceEvent>>,
     /// Assemble [`SimMetrics`] at report time (post-hoc; the hot loop only
     /// pays the two per-task stores `ready_at`/`dep_wait_is_copy`).
-    pub(crate) metrics: bool,
-    pub(crate) gpu_count: usize,
+    metrics: bool,
+    gpu_count: usize,
     /// `start_need` results for the most recently probed task, consumed
     /// by `start_task` so the admit path computes them exactly once:
     /// which tensors to materialize and the recompute time they fold in.
-    pub(crate) scratch_tid: usize,
-    pub(crate) scratch_alloc: Vec<usize>,
-    pub(crate) scratch_extra: Secs,
+    scratch_tid: usize,
+    scratch_alloc: Vec<usize>,
+    scratch_extra: Secs,
 }
 
 impl<'p> EngineState<'p> {
-    pub(crate) fn build(
+    fn build(
         machine: &Machine,
         graph: &TrainingGraph,
         plan: &'p InstrumentationPlan,
@@ -813,7 +808,7 @@ impl<'p> EngineState<'p> {
         }
         triggers.resize_with(n_ops, Vec::new);
         triggers.truncate(n_ops);
-        let mut specs = std::mem::take(&mut bufs.specs);
+        let mut specs = Vec::new();
         plan_legs(
             machine,
             graph,
@@ -980,7 +975,6 @@ impl<'p> EngineState<'p> {
             triggers,
             home,
             directive,
-            specs,
             d2d_traffic: Bytes::ZERO,
             host_traffic: Bytes::ZERO,
             nvme_traffic: Bytes::ZERO,
@@ -1003,41 +997,20 @@ impl<'p> EngineState<'p> {
         })
     }
 
+    /// The event loop. A `bound` turns it into a bound-and-abort run:
+    /// the first completion event whose time exceeds the bound stops the
+    /// loop *before* committing the clock, and its time is returned. The
+    /// prefix executed up to that point is byte-identical to the
+    /// unbounded run's prefix — the bound is only ever *read*.
     fn run(&mut self, strict_oom: bool, bound: Option<Secs>) -> Option<Secs> {
         // Snapshot: evictions append tasks, so a cap computed on the live
         // length would recede forever and allow an unbounded evict/refetch
         // loop under hopeless memory pressure.
         let eviction_cap = 4 * self.tasks.len();
-        self.run_loop(strict_oom, eviction_cap, None, bound)
-    }
-
-    /// The event loop, parameterized for delta replay: the eviction cap
-    /// is passed in (a replay must use the candidate's *live* task count,
-    /// not the padded one) and an optional capture hook snapshots window
-    /// checkpoints plus stall/eviction times. The hooks observe only —
-    /// a captured run is byte-identical to a plain one.
-    ///
-    /// A `bound` turns the loop into a bound-and-abort run: the first
-    /// completion event whose time exceeds the bound stops the loop
-    /// *before* committing the clock, and its time is returned. The
-    /// prefix executed up to that point is byte-identical to the
-    /// unbounded run's prefix — the bound is only ever *read*.
-    pub(crate) fn run_loop(
-        &mut self,
-        strict_oom: bool,
-        eviction_cap: usize,
-        mut capture: Option<&mut crate::delta::CaptureState>,
-        bound: Option<Secs>,
-    ) -> Option<Secs> {
         loop {
             self.start_pass();
             if strict_oom && self.memory.oom().is_some() {
                 break;
-            }
-            if let Some(cap) = capture.as_deref_mut() {
-                if !self.heap.is_empty() {
-                    cap.maybe_snapshot(self);
-                }
             }
             if let Some(Reverse(key)) = self.heap.pop() {
                 if let Some(b) = bound {
@@ -1053,9 +1026,6 @@ impl<'p> EngineState<'p> {
             if self.completed >= self.tasks.len() {
                 break;
             }
-            if let Some(cap) = capture.as_deref_mut() {
-                cap.note_stall(self.clock);
-            }
             let Some((blocked_tid, dev, need)) = self.find_blocked() else {
                 break; // dependency stall — surfaces as Deadlock
             };
@@ -1064,9 +1034,6 @@ impl<'p> EngineState<'p> {
             // head of the compute queue. If nothing can be evicted the
             // stall is a genuine OOM.
             if self.evictions < eviction_cap && self.try_evict(blocked_tid, dev, need) {
-                if let Some(cap) = capture.as_deref_mut() {
-                    cap.note_evict(self.clock, dev.index());
-                }
                 continue;
             }
             if verbosity().sim_debug {
@@ -1694,7 +1661,7 @@ impl<'p> EngineState<'p> {
     /// Consumes a bound-aborted state into its recycled buffers only:
     /// no report exists (the run did not finish and is not a deadlock),
     /// but the allocations must still flow back to the arena.
-    pub(crate) fn recycle(self) -> Buffers {
+    fn recycle(self) -> Buffers {
         let EngineState {
             tasks,
             streams,
@@ -1708,7 +1675,6 @@ impl<'p> EngineState<'p> {
             active_swaps,
             runnable_swaps,
             scratch_alloc,
-            specs,
             ..
         } = self;
         Buffers {
@@ -1724,16 +1690,12 @@ impl<'p> EngineState<'p> {
             active_swaps,
             runnable_swaps,
             scratch_alloc,
-            specs,
         }
     }
 
     /// Consumes the state into a report, handing the recycled buffers
     /// back for the arena regardless of the outcome.
-    pub(crate) fn into_report(
-        self,
-        graph: &TrainingGraph,
-    ) -> (Result<SimReport, SimError>, Buffers) {
+    fn into_report(self, graph: &TrainingGraph) -> (Result<SimReport, SimError>, Buffers) {
         let n_ops = graph.ops().len();
         let total = self.tasks.len();
         let oom = self.memory.oom().copied();
@@ -1780,7 +1742,6 @@ impl<'p> EngineState<'p> {
             active_swaps,
             runnable_swaps,
             scratch_alloc,
-            specs,
             trace,
             ..
         } = self;
@@ -1797,7 +1758,6 @@ impl<'p> EngineState<'p> {
             active_swaps,
             runnable_swaps,
             scratch_alloc,
-            specs,
         };
         if deadlock {
             return (Err(SimError::Deadlock { completed, total }), bufs);

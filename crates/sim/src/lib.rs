@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod delta;
 pub mod device_map;
 pub mod engine;
 pub mod memory;
@@ -30,7 +29,6 @@ pub mod trace;
 pub mod viz;
 
 pub use arena::{graph_fingerprint, ArenaPool, CostProfile, SimArena};
-pub use delta::{DeltaOutcome, DeltaRun, RunBase};
 pub use device_map::DeviceMap;
 pub use engine::{SimConfig, SimError, SimOutcome, Simulator};
 pub use metrics::{DeviceMetrics, LinkMetrics, SimMetrics, StreamBusy};

@@ -63,13 +63,11 @@ echo "== planner timing smoke-run =="
 ./target/release/exp_bench_planner --out BENCH_planner.json
 
 echo "== emulator fast-path smoke-run =="
-# Steady-state emulation throughput, delta-replay speedups, plan wall at
-# jobs=1/8, and three hard gates (each exits nonzero on failure): the
-# prefilter transparency gate, the delta identity gate (every delta
-# replay byte-identical to its from-scratch run), and the jobs=8 wall
-# sanity gate. --min-eps pins from-scratch throughput to a generous
-# fraction of the checked-in baseline — wall clocks on small shared
-# boxes swing ~2x, so this only catches order-of-magnitude regressions.
+# Steady-state emulation throughput, plan wall at jobs=1/8, and two hard
+# gates (each exits nonzero on failure): the jobs=8 wall sanity gate and
+# --min-eps, which pins from-scratch throughput to a generous fraction of
+# the checked-in baseline — wall clocks on small shared boxes swing ~2x,
+# so this only catches order-of-magnitude regressions.
 min_eps=$(awk -F'"emulations_per_sec": ' '{split($2, a, ","); printf "%.0f", a[1] * 0.3}' BENCH_sim.json)
 ./target/release/exp_bench_sim --out BENCH_sim.json --min-eps "${min_eps:-0}"
 

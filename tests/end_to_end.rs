@@ -249,41 +249,3 @@ fn telemetry_report_round_trips_through_json() {
     let second: serde_json::Value = serde_json::from_str(&again).unwrap();
     assert_eq!(first, second);
 }
-
-#[test]
-fn prefilter_is_transparent_to_plan_choice() {
-    // The analytic lower-bound prefilter may only skip emulations whose
-    // outcome could not have changed the search: with it on, the chosen
-    // plan must be identical, while the emulator runs strictly fewer
-    // windows. Bounds are held off on both arms — the certified-bounds
-    // gate supersedes the prefilter when enabled, so its skips would
-    // land in `bounds_pruned` instead.
-    let plan_at = |prefilter: bool| {
-        let mpress = Mpress::builder()
-            .job(mpress_bench::jobs::bert_job(
-                mpress_model::zoo::bert_1_67b(),
-                Machine::dgx1(),
-            ))
-            .prefilter(prefilter)
-            .bounds(false)
-            .build();
-        let (plan, _) = mpress.plan().unwrap();
-        plan
-    };
-    let off = plan_at(false);
-    let on = plan_at(true);
-    assert_eq!(on.instrumentation, off.instrumentation);
-    assert_eq!(on.device_map, off.device_map);
-    assert_eq!(off.search.prefilter_skips, 0);
-    assert!(
-        on.search.prefilter_skips > 0,
-        "prefilter never fired: {:?}",
-        on.search
-    );
-    assert!(
-        on.search.emulator_runs < off.search.emulator_runs,
-        "prefilter saved no emulator runs: {:?} vs {:?}",
-        on.search,
-        off.search
-    );
-}

@@ -370,8 +370,8 @@ proptest! {
         prop_assert_eq!(&fast_reused, &reference);
     }
 
-    /// The analytic makespan bound used by the plan-search prefilter is
-    /// sound: it never exceeds the emulated makespan of a successful run.
+    /// The analytic makespan bound used by the plan-search bounds gate
+    /// is sound: it never exceeds the emulated makespan of a successful run.
     #[test]
     fn analytic_lower_bound_is_sound(
         layers in 2usize..10,
@@ -516,103 +516,6 @@ proptest! {
                 .as_ref()
                 .is_some_and(|e| e.pool == mpress_sim::PoolKind::Gpu);
             prop_assert!(!gpu_oom, "certified-fit but a GPU pool overflowed");
-        }
-    }
-
-    /// Incremental re-emulation is invisible: capturing window
-    /// checkpoints does not perturb the base run, and replaying a
-    /// seeded single-choice mutation as a delta against that base is
-    /// byte-identical to emulating the mutated plan from scratch —
-    /// including a second replay through the same base, which exercises
-    /// the template round-trip.
-    #[test]
-    fn delta_replay_matches_from_scratch(
-        layers in 2usize..10,
-        stages in 2usize..5,
-        mb in 1usize..4,
-        microbatches in 2usize..8,
-        schedule_pick in 0usize..3,
-        gpu_gib in 1u64..8,
-        directive_mask in 0u64..(1 << 12),
-        mutate_pick in 0usize..64,
-        mutate_to in 0usize..4,
-    ) {
-        prop_assume!(layers >= stages);
-        let schedule = [ScheduleKind::PipeDream, ScheduleKind::Dapple, ScheduleKind::GPipe]
-            [schedule_pick];
-        let job = mpress_pipeline::PipelineJob::builder()
-            .model(
-                TransformerConfig::builder(ModelFamily::Gpt)
-                    .layers(layers)
-                    .hidden(256)
-                    .seq_len(128)
-                    .build(),
-            )
-            .schedule(schedule)
-            .stages(stages)
-            .microbatch_size(mb)
-            .microbatches(microbatches)
-            .precision(PrecisionPolicy::mixed())
-            .build()
-            .unwrap();
-        let lowered = job.lower().unwrap();
-        let mut base_plan = InstrumentationPlan::new();
-        let mut acts = Vec::new();
-        for t in lowered.graph.tensors() {
-            if t.kind != TensorKind::Activation || t.layer.is_none() {
-                continue;
-            }
-            acts.push(t.id);
-            match (directive_mask >> (t.id.index() % 12)) & 3 {
-                1 => base_plan.assign(t.id, MemoryDirective::Recompute),
-                2 => base_plan.assign(t.id, MemoryDirective::SwapToHost(HostTier::Dram)),
-                _ => {}
-            }
-        }
-        let mut cand_plan = base_plan.clone();
-        if !acts.is_empty() {
-            let t = acts[mutate_pick % acts.len()];
-            match mutate_to {
-                0 => {
-                    cand_plan.remove(t);
-                }
-                1 => cand_plan.assign(t, MemoryDirective::Recompute),
-                2 => cand_plan.assign(t, MemoryDirective::SwapToHost(HostTier::Dram)),
-                _ => cand_plan.assign(t, MemoryDirective::SwapToHost(HostTier::Nvme)),
-            }
-        }
-        let machine = mpress_hw::Machine::builder()
-            .name("fuzz")
-            .gpu({
-                let mut g = mpress_hw::GpuSpec::v100_32gb();
-                g.memory = Bytes::gib(gpu_gib);
-                g
-            })
-            .topology(Topology::dgx2())
-            .build();
-        let map = DeviceMap::identity(stages);
-        let mut arena = SimArena::new();
-        let base_sim = Simulator::new(&machine, &lowered.graph, &base_plan, map.clone());
-        let plain = base_sim.run_in(&mut arena).expect("base must terminate");
-        let (captured, base) = base_sim
-            .run_in_captured(&mut arena, 16)
-            .expect("captured base must terminate");
-        prop_assert_eq!(&captured, &plain);
-        let cand_sim = Simulator::new(&machine, &lowered.graph, &cand_plan, map.clone());
-        let scratch = cand_sim
-            .run_in(&mut arena)
-            .expect("candidate must terminate");
-        if let Some(base) = base {
-            for round in 0..2 {
-                let delta = cand_sim
-                    .run_in_delta(&mut arena, &base)
-                    .expect("delta replay must terminate");
-                prop_assert_eq!(
-                    &delta.report, &scratch,
-                    "round {} used_delta={}", round, delta.used_delta
-                );
-                prop_assert!(delta.windows_replayed <= delta.windows_total);
-            }
         }
     }
 
