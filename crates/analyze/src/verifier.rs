@@ -278,28 +278,6 @@ impl<'a> PlanVerifier<'a> {
     /// Verifies one candidate: the cached graph findings plus directive,
     /// link, device-map and analytic-residency checks for this plan.
     pub fn verify(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> Report {
-        self.verify_inner(plan, device_map, true)
-    }
-
-    /// [`PlanVerifier::verify`] minus the residency comparisons
-    /// (MP007/MP008): the caller holds a certified-fit verdict from the
-    /// bounds pass, which subsumes both capacity checks. Skipping them
-    /// cannot change the planner hook's behavior — capacity codes are
-    /// non-structural ([`Code::is_structural`]) and never reject.
-    pub fn verify_assuming_fit(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-    ) -> Report {
-        self.verify_inner(plan, device_map, false)
-    }
-
-    fn verify_inner(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-        check_residency: bool,
-    ) -> Report {
         let graph = self.graph;
         let machine = self.machine;
         let n_stages = graph.n_stages();
@@ -426,16 +404,6 @@ impl<'a> PlanVerifier<'a> {
         }
 
         // MP007: analytic per-device residency lower bound vs capacity.
-        if !check_residency {
-            if overflowed {
-                report.push(Diagnostic::error(
-                    Code::Overflow,
-                    Context::none(),
-                    "byte arithmetic overflowed during analysis; capacity verdicts unreliable",
-                ));
-            }
-            return report;
-        }
         for (stage, (&b, &ws)) in base.iter().zip(&self.max_dynamic_ws).enumerate() {
             let lower_bound = match b.checked_add(ws) {
                 Some(sum) => sum,

@@ -20,8 +20,8 @@
 //! `scripts/verify.sh` can gate on it. Output schema:
 //!
 //! ```json
-//! {"wall_s": 1.23, "cases": 80, "violations": 0, "certified_fit": 31,
-//!  "certified_oom": 12, "unknown": 37}
+//! {"wall_s": 8.021, "cases": 100, "violations": 0, "certified_fit": 0,
+//!  "certified_oom": 12, "unknown": 88}
 //! ```
 //!
 //! Pass `--out PATH` to redirect (default `BENCH_bounds.json`).

@@ -5,12 +5,12 @@
 //! paths the parallel search layer accelerates. Output schema:
 //!
 //! ```json
-//! {"wall_s": 1.23, "jobs": 4, "emulator_runs": 57, "cache_hits": 12,
-//!  "cache_hits_canonical": 3, "cache_hit_rate": 0.174,
-//!  "verifier_rejections": 0, "bounds_pruned": 18, "bounds_certified_fit": 3,
-//!  "peak_workers": 4, "steals": 6,
-//!  "speculative_runs": 31, "speculation_wasted": 4, "bound_aborts": 12,
-//!  "refinement_rounds": 9, "refine_candidates": [4, 4, 1]}
+//! {"wall_s": 0.175, "jobs": 1, "emulator_runs": 78, "cache_hits": 6,
+//!  "cache_hits_canonical": 0, "cache_hit_rate": 0.0714,
+//!  "verifier_rejections": 0, "bounds_pruned": 16,
+//!  "peak_workers": 1, "steals": 0,
+//!  "speculative_runs": 0, "speculation_wasted": 0, "bound_aborts": 26,
+//!  "refinement_rounds": 56, "refine_candidates": [1, 6, 3, 5, 1, 4, 3, 1, 1, 7, 9, 14, 1]}
 //! ```
 //!
 //! `"jobs"` is the *resolved* pool width the search actually ran with
@@ -76,7 +76,7 @@ fn main() {
     let json = format!(
         "{{\"wall_s\": {:.3}, \"jobs\": {}, \"emulator_runs\": {}, \"cache_hits\": {}, \
          \"cache_hits_canonical\": {}, \"cache_hit_rate\": {:.4}, \
-         \"verifier_rejections\": {}, \"bounds_pruned\": {}, \"bounds_certified_fit\": {}, \
+         \"verifier_rejections\": {}, \"bounds_pruned\": {}, \
          \"peak_workers\": {}, \"steals\": {}, \
          \"speculative_runs\": {}, \"speculation_wasted\": {}, \"bound_aborts\": {}, \
          \"refinement_rounds\": {}, \"refine_candidates\": [{}]}}\n",
@@ -88,7 +88,6 @@ fn main() {
         plan.search.cache_hit_rate(),
         plan.search.verifier_rejections,
         plan.search.bounds_pruned,
-        plan.search.bounds_certified_fit,
         plan.search.peak_workers,
         plan.search.steals,
         plan.search.speculative_runs,

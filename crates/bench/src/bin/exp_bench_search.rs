@@ -12,8 +12,8 @@
 //! {"wall_s_jobs1": 1.23, "wall_s_wide": 0.80, "jobs_wide": 8,
 //!  "speedup": 1.54, "deterministic": true, "steals": 6,
 //!  "speculative_runs": 31, "speculation_wasted": 4, "bound_aborts": 12,
-//!  "bound_abort_probe": false, "emulator_runs": 57,
-//!  "refinement_rounds": 9, "cores": 8, "scaling_gate": "pass"}
+//!  "emulator_runs": 57, "refinement_rounds": 9, "cores": 8,
+//!  "scaling_gate": "pass"}
 //! ```
 //!
 //! * `deterministic` — the jobs=1 and wide plans agreed exactly.
@@ -21,11 +21,8 @@
 //!   wide run; the pool clamp is lifted (`MPRESS_POOL_UNCLAMPED`
 //!   semantics) so the wide run oversubscribes even a small host and
 //!   stealing is observable everywhere.
-//! * `bound_aborts` — from the wide run; when the certified-bounds gate
-//!   prunes every loser before emulation the counter can read zero, so
-//!   a probe run with `bounds` off re-measures it
-//!   (`bound_abort_probe: true`) — the abort path itself, not the
-//!   gates in front of it, is what the field certifies.
+//! * `bound_aborts` — from the wide run: emulator windows cut short
+//!   once the candidate provably lost to the incumbent.
 //! * `scaling_gate` — `pass`/`fail` against `wall_wide <= 0.6 *
 //!   wall_jobs1` when the host has at least `jobs_wide` cores,
 //!   otherwise `skipped: N cores` (the 1-core reference container
@@ -99,7 +96,7 @@ fn main() {
         }
     }
 
-    let grid = PlannerConfig::default().explore(true).bound_abort(true);
+    let grid = PlannerConfig::default().explore(true);
 
     mpress_par::set_jobs(1);
     let (plan_1, wall_1) = timed_plan(grid);
@@ -119,18 +116,6 @@ fn main() {
         eprintln!("error: jobs=1 and jobs={jobs_wide} chose different plans");
     }
 
-    // The certified-bounds gate can pre-empt every would-be abort on
-    // this grid; probe the abort path directly when that happens.
-    let mut bound_aborts = plan_wide.search.bound_aborts;
-    let mut bound_abort_probe = false;
-    if bound_aborts == 0 {
-        mpress_par::set_jobs(1);
-        let (probe, _) = timed_plan(grid.bounds(false));
-        mpress_par::set_jobs(0);
-        bound_aborts = probe.search.bound_aborts;
-        bound_abort_probe = true;
-    }
-
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let speedup = wall_1 / wall_wide.max(1e-9);
     let scaling_gate = if cores < jobs_wide {
@@ -145,8 +130,7 @@ fn main() {
         "{{\"wall_s_jobs1\": {:.3}, \"wall_s_wide\": {:.3}, \"jobs_wide\": {}, \
          \"speedup\": {:.3}, \"deterministic\": {}, \"steals\": {}, \
          \"speculative_runs\": {}, \"speculation_wasted\": {}, \"bound_aborts\": {}, \
-         \"bound_abort_probe\": {}, \"emulator_runs\": {}, \
-         \"refinement_rounds\": {}, \"cores\": {}, \"scaling_gate\": {:?}}}\n",
+         \"emulator_runs\": {}, \"refinement_rounds\": {}, \"cores\": {}, \"scaling_gate\": {:?}}}\n",
         wall_1,
         wall_wide,
         jobs_wide,
@@ -155,8 +139,7 @@ fn main() {
         plan_wide.search.steals,
         plan_wide.search.speculative_runs,
         plan_wide.search.speculation_wasted,
-        bound_aborts,
-        bound_abort_probe,
+        plan_wide.search.bound_aborts,
         plan_wide.search.emulator_runs,
         plan_wide.refinement_rounds,
         cores,
@@ -169,13 +152,12 @@ fn main() {
     print!("{json}");
     eprintln!(
         "search wall {wall_1:.3}s (jobs=1) vs {wall_wide:.3}s (jobs={jobs_wide}, \
-         {} steals, {} speculative runs, {} wasted), {} bound aborts{}, \
+         {} steals, {} speculative runs, {} wasted), {} bound aborts, \
          deterministic={deterministic}, gate={scaling_gate} -> {out_path}",
         plan_wide.search.steals,
         plan_wide.search.speculative_runs,
         plan_wide.search.speculation_wasted,
-        bound_aborts,
-        if bound_abort_probe { " (probe)" } else { "" },
+        plan_wide.search.bound_aborts,
     );
     if !deterministic {
         std::process::exit(1);

@@ -82,11 +82,7 @@ fn search_summary(s: &mpress::SearchStats, indent: &str, candidates: Option<&[us
         let _ = write!(out, ", candidates/round {c:?}");
     }
     out.push('\n');
-    let _ = writeln!(
-        out,
-        "{indent}bounds: {} pruned, {} certified-fit",
-        s.bounds_pruned, s.bounds_certified_fit,
-    );
+    let _ = writeln!(out, "{indent}bounds: {} pruned", s.bounds_pruned);
     let _ = writeln!(
         out,
         "{indent}speculation: {} runs ({} wasted), {} steals, {} bound aborts",

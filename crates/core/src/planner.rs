@@ -115,45 +115,16 @@ pub struct PlannerConfig {
     /// overflowing stage instead of just enough to fit (how vDNN-style
     /// GPU-CPU swap systems behave — the paper's Fig. 7 baseline).
     pub exhaustive_swap: bool,
-    /// Run the static plan verifier (`mpress-analyze`) on every
-    /// candidate before emulating it, rejecting structurally invalid
-    /// plans without a simulator window. Planner-emitted candidates are
-    /// always structurally valid, so the hook never changes the chosen
-    /// plan — it guards externally supplied plans and counts rejections
-    /// in [`SearchStats::verifier_rejections`]. The default honors the
-    /// [`mpress_obs::ENV_VERIFY`] escape hatch (`MPRESS_VERIFY=0`
-    /// disables).
-    pub verify: bool,
-    /// Certified-bounds gate (`mpress_analyze::bounds`): before
-    /// emulating a refinement candidate against a non-OOM incumbent,
-    /// reject candidates whose residency **lower** bound already
-    /// certifies an OOM (MP013 — the emulator could only confirm a loss)
-    /// and candidates whose certified makespan lower bound cannot even
-    /// tie the incumbent; a certified-**fit** verdict additionally lets
-    /// the verifier hook skip its redundant residency re-checks
-    /// (MP007/MP008). Pruning is sound — only candidates the metric
-    /// could never pick are dropped — so the chosen plan is byte-
-    /// identical either way; only [`SearchStats::bounds_pruned`] and
-    /// [`SearchStats::bounds_certified_fit`] change. The default honors
-    /// the [`mpress_obs::ENV_BOUNDS`] escape hatch (`MPRESS_BOUNDS=0`
-    /// disables).
-    pub bounds: bool,
-    /// Bound-and-abort emulation: refinement candidates run against a
-    /// makespan bound of `incumbent * 1.001` (the acceptance slack),
-    /// and the engine aborts the window the moment its simulated clock
-    /// proves the candidate cannot even tie
-    /// ([`SimOutcome::BoundExceeded`](mpress_sim::SimOutcome)). Sound
-    /// by [`metric_better`]'s rules — an aborted candidate had already
-    /// lost — so the chosen plan is byte-identical either way; only
-    /// wall-clock and [`SearchStats::bound_aborts`] change. Composes
-    /// with the certified-bounds gate: cheap certified prunes fire
-    /// before emulation, expensive losers die early inside it. The
-    /// default honors the [`mpress_obs::ENV_BOUND_ABORT`] escape hatch
-    /// (`MPRESS_BOUND_ABORT=0` disables).
-    pub bound_abort: bool,
+    /// Reference mode: every sound search shortcut off. The certified-
+    /// bounds prune and bound-and-abort emulation only skip candidates
+    /// `metric_better` could never accept, so a reference search chooses
+    /// the default search's plan byte-for-byte, paying a full emulator
+    /// window per candidate. Set only through
+    /// [`PlannerConfig::reference`]; tests compare against it.
+    reference: bool,
     /// Widened refinement grid: every victim additionally tries
     /// dropping its directive outright and the opposite host tier,
-    /// roughly doubling the candidate frontier. Unlike the gates above
+    /// roughly doubling the candidate frontier. Unlike reference mode
     /// this **steers the search** (it joins the plan digest): wider
     /// grids explore assignments the default walk never visits. Used
     /// by the `exp_bench_search` scaling grid; off by default.
@@ -169,10 +140,21 @@ impl Default for PlannerConfig {
             striping: true,
             mapping_search: true,
             exhaustive_swap: false,
-            verify: verify_default(),
-            bounds: bounds_default(),
-            bound_abort: bound_abort_default(),
+            reference: false,
             explore: false,
+        }
+    }
+}
+
+impl PlannerConfig {
+    /// The default configuration in reference mode: no certified-bounds
+    /// prune and no bound-and-abort, so every candidate that reaches
+    /// the emulator runs a full window. Chooses the same plan as
+    /// [`PlannerConfig::default`]; only the search counters differ.
+    pub fn reference() -> Self {
+        PlannerConfig {
+            reference: true,
+            ..PlannerConfig::default()
         }
     }
 }
@@ -217,68 +199,11 @@ impl PlannerConfig {
         self
     }
 
-    /// Toggles the static plan verifier hook.
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
-    }
-
-    /// Toggles the certified-bounds gate.
-    pub fn bounds(mut self, on: bool) -> Self {
-        self.bounds = on;
-        self
-    }
-
-    /// Toggles bound-and-abort emulation.
-    pub fn bound_abort(mut self, on: bool) -> Self {
-        self.bound_abort = on;
-        self
-    }
-
     /// Toggles the widened (exploratory) refinement grid.
     pub fn explore(mut self, on: bool) -> Self {
         self.explore = on;
         self
     }
-}
-
-/// Process-wide default for [`PlannerConfig::bounds`]: on, unless
-/// `MPRESS_BOUNDS` is set to `0`, `false` or `off`. Read once and
-/// cached, like the other [`mpress_obs`] switches.
-fn bounds_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var(mpress_obs::ENV_BOUNDS).as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
-}
-
-/// Process-wide default for [`PlannerConfig::bound_abort`]: on, unless
-/// `MPRESS_BOUND_ABORT` is set to `0`, `false` or `off`. Read once and
-/// cached, like the other [`mpress_obs`] switches.
-fn bound_abort_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var(mpress_obs::ENV_BOUND_ABORT).as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
-}
-
-/// Process-wide default for [`PlannerConfig::verify`]: on, unless
-/// `MPRESS_VERIFY` is set to `0`, `false` or `off`. Read once and
-/// cached, like the other [`mpress_obs`] switches.
-fn verify_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var(mpress_obs::ENV_VERIFY).as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
 }
 
 /// Counters describing one planner search: how much emulator work ran,
@@ -291,9 +216,9 @@ pub struct SearchStats {
     pub emulator_runs: usize,
     /// `emulate()` calls answered from the memoization cache.
     pub cache_hits: usize,
-    /// Candidates rejected by the static plan verifier before emulation
-    /// (see [`PlannerConfig::verify`]). Zero on every planner-driven
-    /// search: the planner only emits structurally valid plans.
+    /// Candidates rejected by the static plan verifier before emulation.
+    /// Zero on every planner-driven search: the planner only emits
+    /// structurally valid plans.
     pub verifier_rejections: usize,
     /// Worker count the parallel sections resolved to.
     pub jobs: usize,
@@ -313,13 +238,9 @@ pub struct SearchStats {
     pub windows_total: usize,
     /// Candidates the certified-bounds gate pruned without emulation:
     /// certified-OOM residency (MP013) or a certified makespan lower
-    /// bound that cannot even tie the incumbent (see
-    /// [`PlannerConfig::bounds`]).
+    /// bound that cannot even tie the incumbent. Zero in reference
+    /// mode ([`PlannerConfig::reference`]).
     pub bounds_pruned: usize,
-    /// Candidates whose residency upper bound certified a device-
-    /// capacity fit, letting the verifier hook skip its residency
-    /// re-checks (MP007/MP008).
-    pub bounds_certified_fit: usize,
     /// Frontier tasks a pool worker claimed from another lane's deque
     /// (see [`mpress_par::Pool`]). Zero on a serial search.
     pub steals: usize,
@@ -335,8 +256,8 @@ pub struct SearchStats {
     pub speculation_wasted: usize,
     /// Emulator windows aborted by the bound-and-abort gate: the
     /// simulated clock passed `incumbent * 1.001` mid-window, proving
-    /// the candidate lost without finishing it (see
-    /// [`PlannerConfig::bound_abort`]).
+    /// the candidate lost without finishing it. Zero in reference mode
+    /// ([`PlannerConfig::reference`]).
     pub bound_aborts: usize,
 }
 
@@ -441,12 +362,11 @@ struct EmulationCache {
     canon_hits: AtomicUsize,
     verifier_rejections: AtomicUsize,
     bounds_pruned: AtomicUsize,
-    bounds_certified_fit: AtomicUsize,
-    /// Memoized residency verdicts `(certified_oom, certified_fit)`
-    /// keyed by the structural [`cache_key`]. Pruned candidates never
-    /// reach the metric caches, so without this memo a rejected trial
-    /// re-derived later in the search would re-pay the directive walk.
-    bounds_memo: Mutex<HashMap<u64, (bool, bool)>>,
+    /// Memoized certified-OOM residency verdicts keyed by the structural
+    /// [`cache_key`]. Pruned candidates never reach the metric caches,
+    /// so without this memo a rejected trial re-derived later in the
+    /// search would re-pay the directive walk.
+    bounds_memo: Mutex<HashMap<u64, bool>>,
     /// Memoized analytic makespan lower bounds keyed by [`cache_key`],
     /// used to order the refinement frontier. Orthogonal to the pruning
     /// memo above: the frontier needs the bound for *every* candidate,
@@ -764,13 +684,14 @@ pub struct Planner<'a> {
     /// Cancellation budget checked before every simulator window; see
     /// [`Planner::with_cancel`].
     cancel: Option<CancelToken>,
-    /// Lazily built static plan verifier (see [`PlannerConfig::verify`]).
-    /// The graph-side tables (lifetime sites, happens-before bitset)
-    /// are shared by every candidate check, so they are built once.
+    /// Lazily built static plan verifier, run on every candidate before
+    /// emulation. The graph-side tables (lifetime sites, happens-before
+    /// bitset) are shared by every candidate check, so they are built
+    /// once.
     verifier: OnceLock<PlanVerifier<'a>>,
-    /// Lazily built certified-bounds analyzer (see
-    /// [`PlannerConfig::bounds`]); its per-stage residency tables are
-    /// likewise shared by every candidate.
+    /// Lazily built certified-bounds analyzer for the certified-OOM
+    /// prune; its per-stage residency tables are likewise shared by
+    /// every candidate.
     bounds: OnceLock<BoundsAnalyzer<'a>>,
 }
 
@@ -837,7 +758,6 @@ impl<'a> Planner<'a> {
             windows_replayed: 0,
             windows_total: 0,
             bounds_pruned: self.cache.bounds_pruned.load(Ordering::Relaxed),
-            bounds_certified_fit: self.cache.bounds_certified_fit.load(Ordering::Relaxed),
             steals: self.cache.steals.load(Ordering::Relaxed),
             speculative_runs: self.cache.spec_runs.load(Ordering::Relaxed),
             speculation_wasted: self.cache.spec_wasted.load(Ordering::Relaxed),
@@ -1629,11 +1549,10 @@ impl<'a> Planner<'a> {
 
     /// [`Planner::emulate`] with an optional incumbent to beat. When the
     /// certified-bounds gate or bound-and-abort emulation proves that
-    /// the candidate cannot beat a non-OOM incumbent (see
-    /// [`PlannerConfig::bounds`] and [`PlannerConfig::bound_abort`]),
-    /// `None` is returned — by [`metric_better`]'s rules such a
-    /// candidate could never have been accepted, so the search outcome
-    /// is unchanged.
+    /// the candidate cannot beat a non-OOM incumbent (both are off in
+    /// [`PlannerConfig::reference`] mode), `None` is returned — by
+    /// [`metric_better`]'s rules such a candidate could never have been
+    /// accepted, so the search outcome is unchanged.
     ///
     /// # Errors
     ///
@@ -1650,8 +1569,8 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The full candidate gate chain — memoization caches, certified
-    /// bounds, static verifier, then a (possibly bound-and-abort)
+    /// The full candidate gate chain — memoization caches, static
+    /// verifier, certified bounds, then a (possibly bound-and-abort)
     /// emulator window — reporting *which* gate resolved the candidate.
     /// Aborted windows are never cached: an abort certifies a loss
     /// against the gating incumbent, not an outcome, and caching it
@@ -1682,78 +1601,53 @@ impl<'a> Planner<'a> {
                 return Ok(Gated::Outcome(outcome.0, outcome.1));
             }
         }
-        // Certified residency verdict, computed arena-free and memoized
-        // per structural key; resolved before the verifier so a
-        // certified-fit can skip the residency re-checks inside it.
-        let verdict = self
-            .config
-            .bounds
-            .then(|| self.bounds_verdict(key, plan, device_map));
-        if self.config.verify {
-            let verifier = self
-                .verifier
-                .get_or_init(|| PlanVerifier::new(self.machine, &self.lowered.graph));
-            // A certified-fit residency verdict subsumes MP007/MP008;
-            // skipping them cannot change the rejection below, because
-            // capacity codes are never structural.
-            let report = if matches!(verdict, Some((_, true))) {
-                verifier.verify_assuming_fit(plan, device_map)
+        let verifier = self
+            .verifier
+            .get_or_init(|| PlanVerifier::new(self.machine, &self.lowered.graph));
+        let report = verifier.verify(plan, device_map);
+        // Only *structural* malformations reject: a predicted OOM
+        // (MP007/MP008/MP013) must still reach the emulator, because
+        // the feasibility loop and OOM-vs-OOM comparisons consume
+        // the simulated `OomEvent`.
+        if report.has_structural_errors() {
+            self.cache
+                .verifier_rejections
+                .fetch_add(1, Ordering::Relaxed);
+            return if incumbent.is_some() {
+                Ok(Gated::Rejected)
             } else {
-                verifier.verify(plan, device_map)
+                Err(SimError::BadPlan(format!(
+                    "static verifier rejected plan: {}",
+                    report.summary()
+                )))
             };
-            // Only *structural* malformations reject: a predicted OOM
-            // (MP007/MP008/MP013) must still reach the emulator, because
-            // the feasibility loop and OOM-vs-OOM comparisons consume
-            // the simulated `OomEvent`.
-            if report.has_structural_errors() {
-                self.cache
-                    .verifier_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                return if incumbent.is_some() {
-                    Ok(Gated::Rejected)
-                } else {
-                    Err(SimError::BadPlan(format!(
-                        "static verifier rejected plan: {}",
-                        report.summary()
-                    )))
-                };
-            }
         }
-        if let Some((certified_oom, certified_fit)) = verdict {
-            if certified_fit {
-                self.cache
-                    .bounds_certified_fit
-                    .fetch_add(1, Ordering::Relaxed);
+        // Only prune against a feasible incumbent: against an OOM one,
+        // any non-OOM candidate wins regardless of makespan, and the
+        // bounds cannot predict host-pool feasibility.
+        if let Some(best) = incumbent.filter(|best| !self.config.reference && !best.oom) {
+            // Certified OOM (MP013): emulation is guaranteed to report
+            // an OOM metric, which `metric_better` can never prefer over
+            // a non-OOM incumbent.
+            if self.certified_oom(key, plan, device_map) {
+                self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
+                return Ok(Gated::CertifiedLoss);
             }
-            if let Some(best) = incumbent {
-                // Only prune against a feasible incumbent: against an OOM
-                // one, any non-OOM candidate wins regardless of makespan,
-                // and the bounds cannot predict host-pool feasibility.
-                if !best.oom {
-                    // Certified OOM (MP013): emulation is guaranteed to
-                    // report an OOM metric, which `metric_better` can
-                    // never prefer over a non-OOM incumbent.
-                    if certified_oom {
-                        self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Gated::CertifiedLoss);
-                    }
-                    // Certified makespan lower bound: `metric_better`
-                    // accepts a candidate at up to 1.001x the incumbent
-                    // (the host-traffic tiebreak), so only candidates
-                    // that cannot even tie are pruned.
-                    let lb = self.frontier_lb(key, plan, device_map);
-                    if lb > best.makespan * 1.001 {
-                        self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Gated::Lost);
-                    }
-                }
+            // Certified makespan lower bound: `metric_better` accepts a
+            // candidate at up to 1.001x the incumbent (the host-traffic
+            // tiebreak), so only candidates that cannot even tie are
+            // pruned.
+            let lb = self.frontier_lb(key, plan, device_map);
+            if lb > best.makespan * 1.001 {
+                self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
+                return Ok(Gated::Lost);
             }
         }
         // Bound-and-abort: against a feasible incumbent the emulator
         // only needs to run far enough to prove a loss — anything past
         // the acceptance slack is unobservable to `metric_better`.
         let bound = match incumbent {
-            Some(best) if self.config.bound_abort && !best.oom => Some(best.makespan * 1.001),
+            Some(best) if !self.config.reference && !best.oom => Some(best.makespan * 1.001),
             _ => None,
         };
         match self.emulate_uncached_bounded(plan, device_map, bound)? {
@@ -1788,8 +1682,8 @@ impl<'a> Planner<'a> {
     }
 
     /// One real simulator window under an optional makespan bound: the
-    /// engine aborts the moment its simulated clock passes `bound` (see
-    /// [`PlannerConfig::bound_abort`]), which the caller must treat as
+    /// engine aborts the moment its simulated clock passes `bound`
+    /// (bound-and-abort emulation), which the caller must treat as
     /// a certified loss against the incumbent that produced the bound —
     /// never as an outcome.
     fn emulate_uncached_bounded(
@@ -2059,39 +1953,30 @@ impl<'a> Planner<'a> {
         trials
     }
 
-    /// The `(certified_oom, certified_fit)` residency verdict for one
-    /// candidate, memoized under its structural `key` (see
+    /// Whether the certified residency bounds prove one candidate OOM
+    /// (MP013), memoized under its structural `key` (see
     /// `EmulationCache::bounds_memo`). The analyzer itself is built
     /// lazily once per planner, like the verifier.
-    fn bounds_verdict(
-        &self,
-        key: u64,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-    ) -> (bool, bool) {
-        if let Some(&v) = self
+    fn certified_oom(&self, key: u64, plan: &InstrumentationPlan, device_map: &DeviceMap) -> bool {
+        if let Some(&oom) = self
             .cache
             .bounds_memo
             .lock()
             .expect("bounds lock")
             .get(&key)
         {
-            return v;
+            return oom;
         }
         let analyzer = self
             .bounds
             .get_or_init(|| BoundsAnalyzer::new(self.machine, &self.lowered.graph));
-        let verdict = analyzer.certify(plan, device_map).verdict;
-        let v = (
-            verdict == BoundsVerdict::CertifiedOom,
-            verdict == BoundsVerdict::CertifiedFit,
-        );
+        let oom = analyzer.certify(plan, device_map).verdict == BoundsVerdict::CertifiedOom;
         self.cache
             .bounds_memo
             .lock()
             .expect("bounds lock")
-            .insert(key, v);
-        v
+            .insert(key, oom);
+        oom
     }
 }
 

@@ -205,11 +205,10 @@ impl Mpress {
         // walk never proposes, so it steers the search and must split
         // the digest.
         h = fnv_u64(h, u64::from(c.explore));
-        // verify/bounds/bound_abort are outcome-transparent (the
-        // property suite pins plan identity with them on or off), so
-        // they are deliberately not part of the digest: a plan computed
-        // with bounds off answers a request with bounds on, and vice
-        // versa.
+        // Reference mode is outcome-transparent (the test suite pins
+        // plan identity against it), so it is deliberately not part of
+        // the digest: a reference plan answers a default request, and
+        // vice versa.
         h
     }
 
@@ -313,9 +312,6 @@ pub struct MpressBuilder {
     refine_iters: Option<usize>,
     striping: Option<bool>,
     mapping_search: Option<bool>,
-    verify: Option<bool>,
-    bounds: Option<bool>,
-    bound_abort: Option<bool>,
     explore: Option<bool>,
     metrics: bool,
     plan_cache: Option<PlanCache>,
@@ -366,33 +362,8 @@ impl MpressBuilder {
         self
     }
 
-    /// Toggles the planner's static plan verifier hook (on by default
-    /// unless `MPRESS_VERIFY=0`; the chosen plan is identical either
-    /// way — planner-emitted candidates are always structurally valid).
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify = Some(on);
-        self
-    }
-
-    /// Toggles the planner's certified-bounds gate (on by default unless
-    /// `MPRESS_BOUNDS=0`; the chosen plan is byte-identical either way —
-    /// only the `bounds_pruned`/`bounds_certified_fit` counters change).
-    pub fn bounds(mut self, on: bool) -> Self {
-        self.bounds = Some(on);
-        self
-    }
-
-    /// Toggles the planner's bound-and-abort emulation (on by default
-    /// unless `MPRESS_BOUND_ABORT=0`; the chosen plan is byte-identical
-    /// either way — only wall-clock and the `bound_aborts` counter
-    /// change).
-    pub fn bound_abort(mut self, on: bool) -> Self {
-        self.bound_abort = Some(on);
-        self
-    }
-
     /// Toggles the planner's widened (exploratory) refinement grid.
-    /// Unlike the transparent gates above this steers the search, so it
+    /// Unlike [`PlannerConfig::reference`] this steers the search, so it
     /// joins [`Mpress::plan_digest`].
     pub fn explore(mut self, on: bool) -> Self {
         self.explore = Some(on);
@@ -468,15 +439,6 @@ impl MpressBuilder {
         }
         if let Some(m) = self.mapping_search {
             config.mapping_search = m;
-        }
-        if let Some(v) = self.verify {
-            config.verify = v;
-        }
-        if let Some(b) = self.bounds {
-            config.bounds = b;
-        }
-        if let Some(a) = self.bound_abort {
-            config.bound_abort = a;
         }
         if let Some(x) = self.explore {
             config.explore = x;

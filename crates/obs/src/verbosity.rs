@@ -22,29 +22,6 @@ pub const ENV_PLAN_DEBUG: &str = "MPRESS_PLAN_DEBUG";
 /// logged.
 pub const ENV_TRACE_WINDOW: &str = "MPRESS_TRACE_WINDOW";
 
-/// Disables the planner's static plan verifier hook when set to `0`,
-/// `false` or `off` (the escape hatch for A/B-ing the hook; the
-/// chosen plan must not change either way — planner-emitted candidates
-/// are always structurally valid, so the hook only ever rejects
-/// externally-supplied malformed plans).
-pub const ENV_VERIFY: &str = "MPRESS_VERIFY";
-
-/// Disables the planner's certified-bounds gate (MP013 pre-emulation
-/// rejection + sound incumbent pruning) when set to `0`, `false` or
-/// `off`. A/B escape hatch like [`ENV_VERIFY`]: pruning only drops
-/// candidates the metric could never pick, so the chosen plan must not
-/// change either way — only the `bounds_pruned`/`bounds_certified_fit`
-/// counters and wall-clock do.
-pub const ENV_BOUNDS: &str = "MPRESS_BOUNDS";
-
-/// Disables the planner's bound-and-abort emulation (candidates abort
-/// the moment their simulated clock proves they lose to the incumbent)
-/// when set to `0`, `false` or `off`. A/B escape hatch like
-/// [`ENV_VERIFY`]: an aborted candidate had already lost by
-/// `metric_better`'s rules, so the chosen plan must not change either
-/// way — only wall-clock and the `bound_aborts` counter do.
-pub const ENV_BOUND_ABORT: &str = "MPRESS_BOUND_ABORT";
-
 /// A parsed [`ENV_TRACE_WINDOW`] filter. Kept outside [`Verbosity`]
 /// (whose `Eq` derive the `f64` bounds would break) and cached the same
 /// way: read once per process.
@@ -130,9 +107,6 @@ mod tests {
         assert_eq!(ENV_SIM_TRACE, "MPRESS_SIM_TRACE");
         assert_eq!(ENV_PLAN_DEBUG, "MPRESS_PLAN_DEBUG");
         assert_eq!(ENV_TRACE_WINDOW, "MPRESS_TRACE_WINDOW");
-        assert_eq!(ENV_VERIFY, "MPRESS_VERIFY");
-        assert_eq!(ENV_BOUNDS, "MPRESS_BOUNDS");
-        assert_eq!(ENV_BOUND_ABORT, "MPRESS_BOUND_ABORT");
     }
 
     #[test]

@@ -37,10 +37,7 @@
 //! `MPRESS_POOL_UNCLAMPED=1`) allows oversubscription — benches use
 //! that to exercise stealing on small containers.
 //!
-//! Batches smaller than the serial cutoff run inline on the caller; the
-//! cutoff defaults to 3 and is overridable via `MPRESS_SERIAL_CUTOFF`
-//! (`0` = always parallel), next to `MPRESS_JOBS` in spirit: both are
-//! wall-clock-only knobs that can never change a result.
+//! Batches smaller than [`SERIAL_CUTOFF`] run inline on the caller.
 
 #![forbid(unsafe_code)]
 
@@ -51,9 +48,6 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Process-wide override installed by `--jobs` (0 = no override).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide serial-cutoff override (`usize::MAX` = no override).
-static CUTOFF_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Cumulative tasks executed through the pool (serial path included).
 static TASKS_RUN: AtomicU64 = AtomicU64::new(0);
@@ -187,33 +181,11 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Installs a process-wide serial-cutoff override (see
-/// [`serial_cutoff`]); `usize::MAX` clears it.
-pub fn set_serial_cutoff(n: usize) {
-    CUTOFF_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
 /// Batches below this size always run inline: the planner's feasibility
 /// iterations emit 1-2 candidates each, and spawning scoped threads for
 /// them costs more than the emulations themselves (the jobs=8 plan
-/// wall measurably exceeded jobs=1 before this cutoff). Overridable via
-/// [`set_serial_cutoff`] or `MPRESS_SERIAL_CUTOFF` (`0` = always
-/// parallel — the scaling bench forces pool engagement on small grids
-/// this way). Like `MPRESS_JOBS`, the cutoff moves only wall-clock,
-/// never a result.
-pub fn serial_cutoff() -> usize {
-    let explicit = CUTOFF_OVERRIDE.load(Ordering::Relaxed);
-    if explicit != usize::MAX {
-        return explicit;
-    }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("MPRESS_SERIAL_CUTOFF")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-    })
-    .unwrap_or(3)
-}
+/// wall measurably exceeded jobs=1 before this cutoff).
+pub const SERIAL_CUTOFF: usize = 3;
 
 /// Allows (`true`) or re-forbids (`false`) worker counts wider than the
 /// detected hardware parallelism. Oversubscribing CPU-bound pure tasks
@@ -289,7 +261,7 @@ where
     F: Fn(usize) -> R + Sync,
 {
     TASKS_RUN.fetch_add(n as u64, Ordering::Relaxed);
-    let workers = if n < serial_cutoff() {
+    let workers = if n < SERIAL_CUTOFF {
         1
     } else {
         pool_width().min(n).max(1)
@@ -317,7 +289,11 @@ where
                     LANE.with(|l| l.set(Some(w + 1)));
                     let mut produced: Vec<(usize, R)> = Vec::new();
                     loop {
-                        let task = lock(&deques[w]).pop_front().or_else(|| {
+                        // Pop in its own statement: the guard must drop
+                        // before a steal locks a neighbour's deque, or two
+                        // idle workers deadlock on each other's locks.
+                        let own = lock(&deques[w]).pop_front();
+                        let task = own.or_else(|| {
                             (1..workers).find_map(|k| {
                                 let stolen = lock(&deques[(w + k) % workers]).pop_back();
                                 if stolen.is_some() {
@@ -538,6 +514,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
+        let _g = guard();
         let out: Vec<u32> = par_map(&[] as &[u32], |_| unreachable!());
         assert!(out.is_empty());
     }
@@ -549,27 +526,9 @@ mod tests {
         // configured pool width — every task runs on the caller.
         set_jobs(8);
         let caller = std::thread::current().id();
-        let ids = par_run(serial_cutoff() - 1, |_| std::thread::current().id());
+        let ids = par_run(SERIAL_CUTOFF - 1, |_| std::thread::current().id());
         set_jobs(0);
         assert!(ids.iter().all(|&id| id == caller));
-    }
-
-    #[test]
-    fn zero_cutoff_forces_worker_threads() {
-        let _g = guard();
-        // MPRESS_SERIAL_CUTOFF=0 semantics: even a 2-task batch runs on
-        // spawned workers (the scaling bench forces pool engagement on
-        // small grids this way). Unclamp so a 1-core container still
-        // spawns the requested width.
-        set_serial_cutoff(0);
-        set_jobs(2);
-        set_pool_unclamped(true);
-        let caller = std::thread::current().id();
-        let ids = par_run(2, |_| std::thread::current().id());
-        set_pool_unclamped(false);
-        set_jobs(0);
-        set_serial_cutoff(usize::MAX);
-        assert!(ids.iter().all(|&id| id != caller));
     }
 
     #[test]
@@ -582,6 +541,31 @@ mod tests {
         let s = stats();
         assert_eq!(s.tasks, 10);
         assert!(s.peak_workers >= 1);
+    }
+
+    #[test]
+    fn stealing_workers_never_deadlock() {
+        let _g = guard();
+        // Two workers over four tasks drain their own deques and then
+        // steal from each other at nearly the same instant. A worker
+        // that still held its own deque lock while locking its
+        // neighbour's would deadlock ABBA within a few thousand batches;
+        // the watchdog turns that hang into a failure.
+        const BATCHES: usize = 50_000;
+        set_jobs(2);
+        set_pool_unclamped(true);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..BATCHES {
+                assert_eq!(par_run(4, |i| i), [0, 1, 2, 3]);
+            }
+            let _ = tx.send(());
+        });
+        let finished = rx.recv_timeout(std::time::Duration::from_secs(60));
+        set_pool_unclamped(false);
+        set_jobs(0);
+        // `Timeout` is the deadlock; `Disconnected` a panicking batch.
+        assert_eq!(finished, Ok(()), "par_run did not finish {BATCHES} batches");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   produce their exact `MP0xx` code, so the codes are usable as a
 //!   stable contract by tooling and CI.
 
-use mpress::Mpress;
+use mpress::{Mpress, MpressPlan, PlannerConfig};
 use mpress_analyze::{check_plan, BoundsAnalyzer, BoundsVerdict, Code};
 use mpress_bench::jobs::{bert_job, gpt_job};
 use mpress_compaction::{InstrumentationPlan, MemoryDirective, StripePlan};
@@ -37,27 +37,61 @@ fn zoo_jobs(machine: &Machine) -> Vec<(String, PipelineJob)> {
 /// zoo model on both NVLink machines. A single diagnostic here means the
 /// planner hook could veto a legitimate candidate — the one thing the
 /// analysis must never do.
+///
+/// The same jobs are the default-vs-reference harness: the certified-
+/// bounds prune and bound-and-abort only skip candidates the metric
+/// could never accept, so a [`PlannerConfig::reference`] search must
+/// choose the default search's plan exactly. Neither side attaches a
+/// plan cache, so both really search. On the pressured Bert-1.67B ×
+/// DGX-1 case both shortcuts demonstrably fire by default.
 #[test]
 fn verifier_accepts_every_planner_plan_across_zoo_and_machines() {
-    for machine in [Machine::dgx1(), Machine::dgx2()] {
-        for (name, job) in zoo_jobs(&machine) {
-            let mpress = Mpress::builder().job(job).build();
-            let (plan, lowered) = mpress.plan().expect("planning succeeds");
-            let report = check_plan(
-                mpress.machine(),
-                &lowered.graph,
-                &plan.instrumentation,
-                &plan.device_map,
-            );
-            assert!(
-                report.is_clean(),
-                "{name} on {}: planner plan flagged:\n{}",
-                machine.name(),
-                report.render_table()
-            );
-            assert_eq!(plan.search.verifier_rejections, 0, "{name}");
+    let cases: Vec<(Machine, String, PipelineJob)> = [Machine::dgx1(), Machine::dgx2()]
+        .into_iter()
+        .flat_map(|machine| {
+            zoo_jobs(&machine)
+                .into_iter()
+                .map(move |(name, job)| (machine.clone(), name, job))
+        })
+        .collect();
+    // Every case plans twice; spread the cases over the worker pool.
+    mpress_par::par_map(&cases, |(machine, name, job)| {
+        let case = format!("{name} on {}", machine.name());
+        let mpress = Mpress::builder().job(job.clone()).build();
+        let (plan, lowered) = mpress.plan().expect("planning succeeds");
+        let report = check_plan(
+            mpress.machine(),
+            &lowered.graph,
+            &plan.instrumentation,
+            &plan.device_map,
+        );
+        assert!(
+            report.is_clean(),
+            "{case}: planner plan flagged:\n{}",
+            report.render_table()
+        );
+        assert_eq!(plan.search.verifier_rejections, 0, "{case}");
+
+        let (reference, _) = Mpress::builder()
+            .job(job.clone())
+            .planner_config(PlannerConfig::reference())
+            .build()
+            .plan()
+            .expect("reference planning succeeds");
+        let fingerprint = |p: &MpressPlan| {
+            format!(
+                "{:?}|{:?}|{}|{:?}",
+                p.device_map, p.instrumentation, p.refinement_rounds, p.refine_candidates
+            )
+        };
+        assert_eq!(fingerprint(&plan), fingerprint(&reference), "{case}");
+        assert_eq!(reference.search.bounds_pruned, 0, "{case}");
+        assert_eq!(reference.search.bound_aborts, 0, "{case}");
+        if *name == zoo::bert_1_67b().to_string() && machine.name() == Machine::dgx1().name() {
+            assert!(plan.search.bounds_pruned > 0, "{case}: {:?}", plan.search);
+            assert!(plan.search.bound_aborts > 0, "{case}: {:?}", plan.search);
         }
-    }
+    });
 }
 
 /// A pressured job whose full-MPress plan contains D2D stripes to
@@ -242,67 +276,64 @@ fn bare_plan_on_gpt_15_4b_is_certified_oom_mp013() {
     assert!(!report.has_structural_errors());
 }
 
-/// The bounds gate must be invisible: a bounds-on run's report is
-/// byte-identical to a bounds-off run's (certified-OOM candidates lose
-/// to any non-OOM incumbent anyway, and the certified lower bound only
-/// skips candidates the metric could never prefer). On this pressured
-/// case the gate also demonstrably fires.
-#[test]
-fn bounds_gate_does_not_change_the_chosen_plan() {
-    let run = |bounds: bool| -> String {
-        let report = Mpress::builder()
-            .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
-            .bounds(bounds)
-            .build()
-            .train()
-            .expect("valid inputs");
-        if bounds {
-            assert!(
-                report.plan.search.bounds_pruned > 0,
-                "bounds gate never fired: {:?}",
-                report.plan.search
-            );
-        } else {
-            assert_eq!(report.plan.search.bounds_pruned, 0);
-        }
-        format!(
-            "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
-            report.plan.device_map,
-            report.plan.instrumentation,
-            report.plan.refinement_rounds,
-            report.sim.makespan.to_bits(),
-            report.sim.device_peak,
-            report.sim.host_traffic,
-            report.tflops.to_bits(),
-            report.throughput.to_bits(),
-        )
-    };
-    assert_eq!(run(true), run(false));
+/// One `train` report of Bert-1.67B × DGX-1 as a byte-exact string: the
+/// chosen plan, the final simulation and the derived metrics.
+fn bert_1_67b_report(config: PlannerConfig) -> (String, mpress::SearchStats) {
+    let report = Mpress::builder()
+        .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
+        .planner_config(config)
+        .build()
+        .train()
+        .expect("valid inputs");
+    let text = format!(
+        "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{}|{}",
+        report.plan.device_map,
+        report.plan.instrumentation,
+        report.plan.refinement_rounds,
+        report.plan.refine_candidates,
+        report.sim.makespan.to_bits(),
+        report.sim.device_peak,
+        report.sim.host_traffic,
+        report.tflops.to_bits(),
+        report.throughput.to_bits(),
+    );
+    (text, report.plan.search)
 }
 
-/// The planner hook must be invisible: a verify-on run's report is
-/// byte-identical to a verify-off run's (the verifier only ever rejects
-/// plans the planner would never emit).
+/// The bounds gate must be invisible: the default run's report is
+/// byte-identical to a reference run's, which prunes nothing
+/// (certified-OOM candidates lose to any non-OOM incumbent anyway, and
+/// the certified lower bound only skips candidates the metric could
+/// never prefer). On this pressured case the gate also demonstrably
+/// fires.
+#[test]
+fn bounds_gate_does_not_change_the_chosen_plan() {
+    let (default, stats) = bert_1_67b_report(PlannerConfig::default());
+    assert!(
+        stats.bounds_pruned > 0,
+        "bounds gate never fired: {stats:?}"
+    );
+    let (reference, stats) = bert_1_67b_report(PlannerConfig::reference());
+    assert_eq!(stats.bounds_pruned, 0, "{stats:?}");
+    assert_eq!(default, reference);
+}
+
+/// The planner hook must be invisible: it never vetoes a candidate. The
+/// reference search sends every candidate the bounds gate would have
+/// pruned through the hook too, and the hook still rejects none of
+/// them, so the chosen plan is the one the metric alone picks.
 #[test]
 fn verifier_hook_does_not_change_the_chosen_plan() {
-    let run = |verify: bool| -> String {
-        let report = Mpress::builder()
-            .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
-            .verify(verify)
-            .build()
-            .train()
-            .expect("valid inputs");
-        format!(
-            "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
-            report.plan.device_map,
-            report.plan.instrumentation,
-            report.plan.refinement_rounds,
-            report.sim.makespan.to_bits(),
-            report.sim.device_peak,
-            report.sim.host_traffic,
-            report.tflops.to_bits(),
-            report.throughput.to_bits(),
-        )
-    };
-    assert_eq!(run(true), run(false));
+    let (default, stats) = bert_1_67b_report(PlannerConfig::default());
+    assert_eq!(stats.verifier_rejections, 0, "{stats:?}");
+    let (reference, reference_stats) = bert_1_67b_report(PlannerConfig::reference());
+    assert_eq!(
+        reference_stats.verifier_rejections, 0,
+        "{reference_stats:?}"
+    );
+    assert!(
+        reference_stats.emulator_runs > stats.emulator_runs,
+        "reference search saw no more candidates: {reference_stats:?} vs {stats:?}"
+    );
+    assert_eq!(default, reference);
 }

@@ -159,7 +159,6 @@ fn speculative_search_is_identical_on_oversubscribed_pool() {
         let report = Mpress::builder()
             .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
             .explore(true)
-            .bound_abort(true)
             .build()
             .train()
             .expect("valid inputs");
@@ -192,7 +191,6 @@ fn cancel_mid_search_reports_cancelled_not_bound_exceeded() {
         let err = Mpress::builder()
             .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
             .explore(true)
-            .bound_abort(true)
             .cancel(CancelToken::with_run_budget(budget))
             .build()
             .plan()

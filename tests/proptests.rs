@@ -582,13 +582,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Bound-and-abort emulation is outcome-transparent: for any paper
-    /// model on either reference machine, a planner allowed to abort
-    /// losing candidates mid-window chooses exactly the plan a planner
-    /// running every window to completion chooses. (An aborted candidate
-    /// had already lost by `metric_better`'s rules — the abort only
-    /// saves the wall-clock of confirming it.) Exercised through the
-    /// builder flag so the test does not mutate process-global env
-    /// state; `MPRESS_BOUND_ABORT=0` is the same switch.
+    /// model on either reference machine, the default planner (which
+    /// aborts losing candidates mid-window) chooses exactly the plan a
+    /// `PlannerConfig::reference()` planner, running every window to
+    /// completion, chooses. (An aborted candidate had already lost by
+    /// `metric_better`'s rules — the abort only saves the wall-clock of
+    /// confirming it.)
     #[test]
     fn bound_abort_does_not_change_the_chosen_plan(
         model_idx in 0usize..10,
@@ -606,21 +605,25 @@ proptest! {
         } else {
             gpt_job(zoo::gpt_variants()[model_idx - 5].clone(), machine.clone())
         };
-        let run = |abort: bool| -> String {
+        let run = |config: mpress::PlannerConfig| -> (String, usize) {
             let (plan, _) = mpress::Mpress::builder()
                 .job(job.clone())
-                .bound_abort(abort)
+                .planner_config(config)
                 .build()
                 .plan()
                 .unwrap();
-            format!(
+            let text = format!(
                 "{:?}|{:?}|{}|{:?}",
                 plan.device_map,
                 plan.instrumentation,
                 plan.refinement_rounds,
                 plan.refine_candidates,
-            )
+            );
+            (text, plan.search.bound_aborts)
         };
-        prop_assert_eq!(run(true), run(false));
+        let (default, _) = run(mpress::PlannerConfig::default());
+        let (reference, reference_aborts) = run(mpress::PlannerConfig::reference());
+        prop_assert_eq!(reference_aborts, 0);
+        prop_assert_eq!(default, reference);
     }
 }
