@@ -18,9 +18,9 @@
 //!
 //! * `deterministic` — the jobs=1 and wide plans agreed exactly.
 //! * `steals` / `speculative_runs` / `speculation_wasted` — from the
-//!   wide run; the pool clamp is lifted (`MPRESS_POOL_UNCLAMPED`
-//!   semantics) so the wide run oversubscribes even a small host and
-//!   stealing is observable everywhere.
+//!   wide run; the pool clamp is lifted
+//!   (`mpress_par::set_pool_unclamped`) so the wide run oversubscribes
+//!   even a small host and stealing is observable everywhere.
 //! * `bound_aborts` — from the wide run: emulator windows cut short
 //!   once the candidate provably lost to the incumbent.
 //! * `scaling_gate` — `pass`/`fail` against `wall_wide <= 0.6 *

@@ -752,7 +752,7 @@ impl<'a> Planner<'a> {
             cache_hits: self.cache.hits.load(Ordering::Relaxed),
             verifier_rejections: self.cache.verifier_rejections.load(Ordering::Relaxed),
             jobs: mpress_par::pool_width(),
-            peak_workers: mpress_par::stats().peak_workers,
+            peak_workers: mpress_par::peak_workers(),
             cache_hits_canonical: self.cache.canon_hits.load(Ordering::Relaxed),
             delta_replays: 0,
             windows_replayed: 0,
@@ -1126,23 +1126,11 @@ impl<'a> Planner<'a> {
                 results: Mutex::new(HashMap::new()),
                 incumbent: Mutex::new(best_metric),
             };
-            let width = mpress_par::pool_width();
             let spec_before = self.cache.spec_runs.load(Ordering::Relaxed);
             let max_adjudications = self.config.refine_iters.saturating_mul(4);
-            let used_spec: Result<usize, SimError> = mpress_par::Pool::scope(
-                width,
-                |pool, lane| loop {
-                    let epoch = pool.epoch();
-                    match pool.next_task(lane) {
-                        Some(key) => {
-                            self.speculate(&shared, &device_map, key);
-                            pool.notify();
-                        }
-                        None if pool.shutdown_requested() => break,
-                        None => pool.wait_epoch(epoch),
-                    }
-                },
-                |pool| {
+            let speculate = |key| self.speculate(&shared, &device_map, key);
+            let used_spec: Result<usize, SimError> =
+                mpress_par::Pool::scope(mpress_par::pool_width(), &speculate, |pool| {
                     let mut frontier: BTreeMap<(u64, u64, u64, u64), FrontierEntry> =
                         BTreeMap::new();
                     let mut seen: HashSet<u64> = HashSet::new();
@@ -1153,8 +1141,9 @@ impl<'a> Planner<'a> {
                     let mut adjudicated = 0usize;
                     // Generates trials for every unconsumed victim
                     // against the current incumbent and enqueues the
-                    // structurally new ones on the frontier (and, when
-                    // workers exist, in the shared job table).
+                    // structurally new ones on the frontier and in the
+                    // shared job table. On a width-1 pool nothing pops
+                    // the queued keys: the lead evaluates each inline.
                     let enqueue_victims =
                         |frontier: &mut BTreeMap<(u64, u64, u64, u64), FrontierEntry>,
                          seen: &mut HashSet<u64>,
@@ -1183,13 +1172,11 @@ impl<'a> Planner<'a> {
                                     let lb = self.frontier_lb(key, &plan, &device_map);
                                     let ckey = canon_key(&plan, &device_map);
                                     let plan = Arc::new(plan);
-                                    if width > 1 {
-                                        shared
-                                            .jobs
-                                            .lock()
-                                            .expect("spec jobs lock")
-                                            .insert(key, Arc::clone(&plan));
-                                    }
+                                    shared
+                                        .jobs
+                                        .lock()
+                                        .expect("spec jobs lock")
+                                        .insert(key, Arc::clone(&plan));
                                     frontier.insert(
                                         (lb.to_bits(), ckey, key, *seq),
                                         FrontierEntry {
@@ -1213,11 +1200,9 @@ impl<'a> Planner<'a> {
                         &budgets,
                         &consumed,
                     )?;
-                    if width > 1 {
-                        for entry in frontier.values() {
-                            if submitted.insert(entry.key) {
-                                pool.push(entry.key);
-                            }
+                    for entry in frontier.values() {
+                        if submitted.insert(entry.key) {
+                            pool.push(entry.key);
                         }
                     }
                     while adjudicated < max_adjudications {
@@ -1253,9 +1238,7 @@ impl<'a> Planner<'a> {
                         }
                         match verdict {
                             SpecResult::Failed(e) => {
-                                if width > 1 {
-                                    shared.jobs.lock().expect("spec jobs lock").clear();
-                                }
+                                shared.jobs.lock().expect("spec jobs lock").clear();
                                 return Err(e);
                             }
                             SpecResult::Outcome(metric) if metric_better(metric, best_metric) => {
@@ -1283,9 +1266,7 @@ impl<'a> Planner<'a> {
                                 // every queued candidate was built on
                                 // the replaced incumbent.
                                 frontier.clear();
-                                if width > 1 {
-                                    shared.jobs.lock().expect("spec jobs lock").clear();
-                                }
+                                shared.jobs.lock().expect("spec jobs lock").clear();
                                 enqueue_victims(
                                     &mut frontier,
                                     &mut seen,
@@ -1294,11 +1275,9 @@ impl<'a> Planner<'a> {
                                     &budgets,
                                     &consumed,
                                 )?;
-                                if width > 1 {
-                                    for entry in frontier.values() {
-                                        if submitted.insert(entry.key) {
-                                            pool.push(entry.key);
-                                        }
+                                for entry in frontier.values() {
+                                    if submitted.insert(entry.key) {
+                                        pool.push(entry.key);
                                     }
                                 }
                             }
@@ -1310,17 +1289,14 @@ impl<'a> Planner<'a> {
                     if since_commit > 0 {
                         refine_candidates.push(since_commit);
                     }
-                    // Stop speculation before the workers drain their
-                    // remaining (now stale) deque entries.
-                    if width > 1 {
-                        shared.jobs.lock().expect("spec jobs lock").clear();
-                    }
+                    // Stop speculation: a worker that pops a stale key
+                    // before the scope closes finds no job.
+                    shared.jobs.lock().expect("spec jobs lock").clear();
                     self.cache
                         .steals
                         .fetch_add(pool.steals() as usize, Ordering::Relaxed);
                     Ok(used_spec)
-                },
-            );
+                });
             let used_spec = used_spec?;
             // Speculative runs whose verdicts were never consumed —
             // invalidated by a commit before adjudication, or stale-
@@ -1792,7 +1768,7 @@ impl<'a> Planner<'a> {
     fn take_result(
         &self,
         shared: &SpecShared,
-        pool: &mpress_par::Pool,
+        pool: &mpress_par::Pool<'_>,
         device_map: &DeviceMap,
         key: u64,
         plan: &InstrumentationPlan,
@@ -1820,12 +1796,8 @@ impl<'a> Planner<'a> {
             }
             // In flight on a worker: help with other frontier tasks
             // while waiting, or sleep until something completes.
-            match pool.next_task(0) {
-                Some(other) => {
-                    self.speculate(shared, device_map, other);
-                    pool.notify();
-                }
-                None => pool.wait_epoch(epoch),
+            if !pool.help() {
+                pool.wait_epoch(epoch);
             }
         }
     }

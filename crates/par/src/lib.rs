@@ -2,55 +2,57 @@
 //!
 //! MPress's planner is an emulator-in-the-loop search and the paper's
 //! evaluation is a large (model × machine × system) grid — both are
-//! embarrassingly parallel across candidates/cells. This crate provides
-//! two primitives:
+//! embarrassingly parallel across candidates/cells. This crate has one
+//! executor and one convenience built on it:
 //!
-//! * [`par_map`]/[`par_run`] — a fan-out over `std::thread::scope` with
-//!   per-worker index deques and work stealing that returns results
-//!   **in input order**, so callers' tie-breaks and table layouts never
-//!   depend on thread timing.
-//! * [`Pool`] — a persistent scoped worker pool for search loops: the
-//!   caller keeps pushing `u64` task digests into per-worker deques
-//!   while workers drain them (stealing from each other when their own
-//!   deque runs dry) and park on an epoch condvar between bursts. One
-//!   `Pool::scope` spans an entire search, so refinement no longer pays
-//!   a thread spawn per candidate round.
+//! * [`Pool`] — a scoped work-stealing pool carrying `u64` task
+//!   digests. The caller (lane 0) pushes digests into per-lane deques;
+//!   worker threads (lanes `1..width`) run one shared task closure on
+//!   each digest they pop from their own deque's front or steal from
+//!   another lane's back, and park on an epoch condvar between bursts.
+//!   The caller runs queued tasks itself with [`Pool::help`]. One
+//!   `Pool::scope` spans an entire search, so refinement never pays a
+//!   thread spawn per candidate round.
+//! * [`par_map`]/[`par_run`] — push `0..n` into a pool, help until the
+//!   deques are empty, and return the results **in input order**, so
+//!   callers' tie-breaks and table layouts never depend on thread timing.
 //!
 //! # Determinism contract
 //!
 //! * `par_run` results are placed by input index; the output `Vec` is
-//!   identical to what the serial loop would produce (worker panics
-//!   propagate).
+//!   identical to what the serial loop would produce.
 //! * The worker count changes only *when* work runs, never *what* is
 //!   returned: `jobs=1` and `jobs=N` are byte-identical as long as the
 //!   mapped closure is a pure function of its input.
 //! * A [`Pool`] carries opaque task digests, not results — the *caller*
 //!   decides what each completion means, which is how the planner keeps
 //!   its frontier adjudication order independent of completion order.
+//! * A panic in any task, on any lane, propagates out of
+//!   [`Pool::scope`] (and so out of `par_run`) with its original
+//!   payload; a panic never leaves the scope waiting on a lane.
 //!
 //! # Choosing the worker count
 //!
 //! Resolution order: [`set_jobs`] override (used by `--jobs`), the
 //! `MPRESS_JOBS` environment variable, then
 //! `std::thread::available_parallelism()`. Requests wider than the
-//! machine are clamped unless [`set_pool_unclamped`] (or
-//! `MPRESS_POOL_UNCLAMPED=1`) allows oversubscription — benches use
-//! that to exercise stealing on small containers.
+//! machine are clamped unless [`set_pool_unclamped`] allows
+//! oversubscription — benches use that to exercise stealing on small
+//! containers.
 //!
 //! Batches smaller than [`SERIAL_CUTOFF`] run inline on the caller.
 
 #![forbid(unsafe_code)]
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Process-wide override installed by `--jobs` (0 = no override).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Cumulative tasks executed through the pool (serial path included).
-static TASKS_RUN: AtomicU64 = AtomicU64::new(0);
 
 /// Busy/peak worker accounting packed into **one** atomic word: the low
 /// 32 bits count currently busy workers, the high 32 bits the peak. A
@@ -60,20 +62,15 @@ static TASKS_RUN: AtomicU64 = AtomicU64::new(0);
 /// a concurrent decrement could hide the true high-water mark.
 static ACTIVE: AtomicU64 = AtomicU64::new(0);
 
-/// Cumulative deque steals (tasks taken from another lane's deque).
-static STEALS: AtomicU64 = AtomicU64::new(0);
-
 /// Allows worker counts wider than the detected hardware parallelism.
 static UNCLAMPED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     /// The pool lane this thread runs as (0 = the scope's caller), or
-    /// `None` outside any parallel section. Consumers (the simulator's
-    /// arena pool) use it to give each lane a warm arena.
+    /// `None` outside any pool scope. Nested parallel sections on a lane
+    /// run serially instead of multiplying the thread count; consumers
+    /// (the simulator's arena pool) use it to give each lane a warm arena.
     static LANE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Set on pool worker threads so nested parallel sections run
-    /// serially instead of multiplying the thread count.
-    static IN_POOL: Cell<bool> = const { Cell::new(false) };
     /// Nesting depth of busy sections on this thread. Only the
     /// outermost enter/exit touches [`ACTIVE`], so a serial parallel
     /// section running inside another (a portfolio variant's whole
@@ -84,7 +81,7 @@ thread_local! {
 }
 
 /// Mutex lock that treats poisoning as the fatal caller panic it
-/// reflects (workers run caller closures; their panics propagate).
+/// reflects (tasks never run under a pool lock).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("mpress-par lock poisoned")
 }
@@ -128,35 +125,25 @@ fn busy_exit() {
     ACTIVE.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Snapshot of pool activity counters, for Insights/report output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks executed through `par_map`/`par_run` since the last reset.
-    pub tasks: u64,
-    /// Peak number of workers observed busy at the same instant.
-    pub peak_workers: usize,
-    /// Tasks taken from another lane's deque (work stealing), across
-    /// `par_run` and [`Pool`] scopes since the last reset.
-    pub steals: u64,
-}
+/// Counts the current thread busy until dropped, unwinding included.
+struct Busy;
 
-/// Current cumulative pool statistics.
-pub fn stats() -> PoolStats {
-    let packed = ACTIVE.load(Ordering::Relaxed);
-    PoolStats {
-        tasks: TASKS_RUN.load(Ordering::Relaxed),
-        peak_workers: (packed >> 32) as usize,
-        steals: STEALS.load(Ordering::Relaxed),
+impl Busy {
+    fn enter() -> Busy {
+        busy_enter();
+        Busy
     }
 }
 
-/// Resets the cumulative pool statistics (used by benches between
-/// runs). Must not race with live parallel sections — the busy half of
-/// the packed counter is cleared too.
-pub fn reset_stats() {
-    TASKS_RUN.store(0, Ordering::Relaxed);
-    ACTIVE.store(0, Ordering::Relaxed);
-    STEALS.store(0, Ordering::Relaxed);
+impl Drop for Busy {
+    fn drop(&mut self) {
+        busy_exit();
+    }
+}
+
+/// Peak number of lanes observed busy at the same instant.
+pub fn peak_workers() -> usize {
+    (ACTIVE.load(Ordering::Relaxed) >> 32) as usize
 }
 
 /// Installs a process-wide worker-count override; `0` clears it and
@@ -182,7 +169,7 @@ pub fn jobs() -> usize {
 }
 
 /// Batches below this size always run inline: the planner's feasibility
-/// iterations emit 1-2 candidates each, and spawning scoped threads for
+/// iterations emit 1-2 candidates each, and starting a pool scope for
 /// them costs more than the emulations themselves (the jobs=8 plan
 /// wall measurably exceeded jobs=1 before this cutoff).
 pub const SERIAL_CUTOFF: usize = 3;
@@ -192,136 +179,102 @@ pub const SERIAL_CUTOFF: usize = 3;
 /// normally only adds spawn and context-switch cost, so the clamp is
 /// the default; the scaling bench and stress tests lift it to exercise
 /// real multi-worker interleavings (stealing, speculative completion
-/// order) on small containers. `MPRESS_POOL_UNCLAMPED=1` is the env
-/// equivalent. Results are identical at any width; only wall-clock and
-/// the steal/peak counters move.
+/// order) on small containers. Results are identical at any width;
+/// only wall-clock and the steal/peak counters move.
 pub fn set_pool_unclamped(on: bool) {
     UNCLAMPED.store(on, Ordering::Relaxed);
 }
 
-fn unclamped() -> bool {
-    if UNCLAMPED.load(Ordering::Relaxed) {
-        return true;
-    }
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        matches!(
-            std::env::var("MPRESS_POOL_UNCLAMPED").as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        )
-    })
-}
-
 /// The width a new parallel section resolves to *right now*: [`jobs`],
 /// clamped to the hardware thread count unless [`set_pool_unclamped`],
-/// and forced to 1 on pool worker threads so nested sections never
-/// multiply the thread count (a portfolio variant planned inside a
-/// `par_map` worker searches serially).
+/// and forced to 1 on every lane of a live pool scope so nested
+/// sections never multiply the thread count (a portfolio variant
+/// planned inside a `par_map` task searches serially).
 pub fn pool_width() -> usize {
-    if IN_POOL.with(Cell::get) {
+    if current_lane().is_some() {
         return 1;
     }
     let requested = jobs().max(1);
-    if unclamped() {
+    if UNCLAMPED.load(Ordering::Relaxed) {
         return requested;
     }
     let hw = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
     requested.min(hw).max(1)
 }
 
-/// The pool lane the current thread runs as: `Some(0)` on a
-/// [`Pool::scope`] caller, `Some(1..)` on worker threads, `None`
-/// outside any parallel section. Lane identity is stable for the whole
-/// scope, so per-lane caches (the simulator's warm arenas) stay warm
-/// across tasks.
+/// The pool lane the current thread runs as: `Some(0)` on the thread
+/// that opened a [`Pool::scope`] (a `par_run` caller included),
+/// `Some(1..)` on worker threads, `None` outside any pool scope.
+/// Lane identity is stable for the whole scope, so per-lane caches (the
+/// simulator's warm arenas) stay warm across tasks.
 pub fn current_lane() -> Option<usize> {
     LANE.with(Cell::get)
 }
 
-fn with_lane<R>(lane: usize, f: impl FnOnce() -> R) -> R {
-    let prev = LANE.with(|l| l.replace(Some(lane)));
-    busy_enter();
-    let out = f();
-    busy_exit();
-    LANE.with(|l| l.set(prev));
-    out
+/// Marks the current thread as busy pool lane `lane` until dropped and
+/// then restores its previous lane, on return or unwind alike.
+/// The lead's guard also holds its pool and flags shutdown on drop, so
+/// the workers exit even when the lead panics.
+struct LaneGuard<'p, 't> {
+    prev_lane: Option<usize>,
+    lead_of: Option<&'p Pool<'t>>,
+    _busy: Busy,
+}
+
+impl<'p, 't> LaneGuard<'p, 't> {
+    fn enter(lane: usize, lead_of: Option<&'p Pool<'t>>) -> Self {
+        LaneGuard {
+            prev_lane: LANE.with(|l| l.replace(Some(lane))),
+            lead_of,
+            _busy: Busy::enter(),
+        }
+    }
+}
+
+impl Drop for LaneGuard<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(pool) = self.lead_of {
+            pool.finish();
+        }
+        LANE.with(|l| l.set(self.prev_lane));
+    }
 }
 
 /// Runs `f(0..n)` across the pool and returns the results in index
 /// order. Serial when the resolved width is 1 or `n` is below the
 /// serial cutoff; panics in `f` propagate to the caller either way.
 ///
-/// Indices are dealt round-robin into per-worker deques; a worker that
-/// drains its own deque steals from the back of its neighbors', so an
-/// uneven batch (one slow emulation among cheap ones) no longer idles
-/// the rest of the pool.
+/// Indices are dealt round-robin into the [`Pool`]'s lane deques and
+/// the caller works as lane 0 until they are empty; a lane that drains
+/// its own deque steals from the back of the others', so an uneven
+/// batch (one slow emulation among cheap ones) does not idle the rest.
 pub fn par_run<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    TASKS_RUN.fetch_add(n as u64, Ordering::Relaxed);
-    let workers = if n < SERIAL_CUTOFF {
+    let width = if n < SERIAL_CUTOFF {
         1
     } else {
-        pool_width().min(n).max(1)
+        pool_width().min(n)
     };
-    if workers == 1 {
-        busy_enter();
-        let out = (0..n).map(f).collect();
-        busy_exit();
-        return out;
+    if width == 1 {
+        let _busy = Busy::enter();
+        return (0..n).map(f).collect();
     }
-
-    // Deal indices round-robin: deque `w` holds `w, w+workers, ...` in
-    // ascending order; owners pop the front, thieves the back.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let deques = &deques;
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    IN_POOL.with(|p| p.set(true));
-                    LANE.with(|l| l.set(Some(w + 1)));
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // Pop in its own statement: the guard must drop
-                        // before a steal locks a neighbour's deque, or two
-                        // idle workers deadlock on each other's locks.
-                        let own = lock(&deques[w]).pop_front();
-                        let task = own.or_else(|| {
-                            (1..workers).find_map(|k| {
-                                let stolen = lock(&deques[(w + k) % workers]).pop_back();
-                                if stolen.is_some() {
-                                    STEALS.fetch_add(1, Ordering::Relaxed);
-                                }
-                                stolen
-                            })
-                        });
-                        let Some(i) = task else { break };
-                        busy_enter();
-                        produced.push((i, f(i)));
-                        busy_exit();
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Re-raise worker panics on the calling thread.
-            for (i, r) in handle.join().expect("pool worker panicked") {
-                slots[i] = Some(r);
-            }
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let task = |i: u64| {
+        let out = f(i as usize);
+        *lock(&slots[i as usize]) = Some(out);
+    };
+    Pool::scope(width, &task, |pool| {
+        for i in 0..n {
+            pool.push(i as u64);
         }
+        while pool.help() {}
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index produced exactly once"))
-        .collect()
+    let produced = |slot: &Mutex<Option<R>>| lock(slot).take().expect("every index ran once");
+    slots.iter().map(produced).collect()
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
@@ -334,104 +287,89 @@ where
     par_run(items.len(), |i| f(&items[i]))
 }
 
-/// A persistent scoped worker pool carrying opaque `u64` task digests.
+/// A scoped work-stealing pool carrying opaque `u64` task digests.
 ///
 /// Built for search loops where the task set is *discovered during* the
-/// scope: the caller (lane 0) pushes digests as the frontier unfolds,
-/// workers (lanes `1..width`) drain them — own deque front first, then
-/// stealing from the back of other lanes — and everyone parks on an
-/// epoch condvar when idle. Because tasks are data rather than
-/// closures, the worker body is a single caller-supplied closure that
-/// borrows state declared *before* [`Pool::scope`], which keeps the
-/// whole crate `forbid(unsafe_code)`-clean.
+/// scope: the caller (lane 0) pushes digests as the frontier unfolds
+/// and the lanes run the scope's one task closure on them. Because
+/// tasks are data rather than closures, that closure borrows state
+/// declared *before* [`Pool::scope`], which keeps the whole crate
+/// `forbid(unsafe_code)`-clean.
 ///
 /// The pool makes no ordering promises about *completion*; callers that
 /// need determinism adjudicate results in an order of their own (the
 /// planner uses its frontier order). See DESIGN.md §13.
-pub struct Pool {
-    width: usize,
+pub struct Pool<'t> {
+    task: &'t (dyn Fn(u64) + Sync),
     deques: Vec<Mutex<VecDeque<u64>>>,
     rr: AtomicUsize,
     epoch: Mutex<u64>,
     cv: Condvar,
     shutdown: AtomicBool,
     steals: AtomicU64,
+    /// The first worker panic, held until the lead re-raises it.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-impl Pool {
+impl<'t> Pool<'t> {
     /// Runs `lead` on the calling thread (lane 0) with `width - 1`
-    /// worker threads (lanes `1..width`) executing `worker(pool, lane)`
-    /// alongside it. When `lead` returns, the pool flags shutdown and
-    /// wakes every parked worker; `worker` bodies are expected to exit
-    /// their loop once [`Pool::shutdown_requested`] turns true and
-    /// [`Pool::next_task`] runs dry. Worker panics propagate when the
-    /// scope joins. `width <= 1` runs `lead` inline with no threads.
-    pub fn scope<R, W, L>(width: usize, worker: W, lead: L) -> R
-    where
-        W: Fn(&Pool, usize) + Sync,
-        L: FnOnce(&Pool) -> R,
-    {
+    /// worker threads (lanes `1..width`) running `task` on every digest
+    /// they pop or steal, bumping the epoch after each. When `lead`
+    /// returns *or unwinds* the workers finish the task in hand and
+    /// exit; queued digests are dropped. A worker's panic stops the
+    /// pool and is re-raised on the lead by its next [`Pool::help`] or
+    /// [`Pool::wait_epoch`], or when the scope joins. `width <= 1`
+    /// spawns no threads: pushed digests run only through `help`.
+    pub fn scope<R>(
+        width: usize,
+        task: &'t (dyn Fn(u64) + Sync),
+        lead: impl FnOnce(&Pool<'t>) -> R,
+    ) -> R {
         let width = width.max(1);
         let pool = Pool {
-            width,
+            task,
             deques: (0..width).map(|_| Mutex::new(VecDeque::new())).collect(),
             rr: AtomicUsize::new(0),
             epoch: Mutex::new(0),
             cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            shutdown: AtomicBool::new(width == 1),
             steals: AtomicU64::new(0),
+            panic: Mutex::new(None),
         };
-        if width == 1 {
-            pool.shutdown.store(true, Ordering::Relaxed);
-            return with_lane(0, || lead(&pool));
-        }
-        std::thread::scope(|scope| {
-            let pool = &pool;
-            let worker = &worker;
+        let out = std::thread::scope(|scope| {
+            let _lead = LaneGuard::enter(0, Some(&pool));
             for lane in 1..width {
-                scope.spawn(move || {
-                    IN_POOL.with(|p| p.set(true));
-                    LANE.with(|l| l.set(Some(lane)));
-                    busy_enter();
-                    worker(pool, lane);
-                    busy_exit();
-                });
+                let pool = &pool;
+                scope.spawn(move || pool.work(lane));
             }
-            let out = with_lane(0, || lead(pool));
-            pool.finish();
-            out
-        })
-    }
-
-    /// The scope's total lane count (lead included).
-    pub fn width(&self) -> usize {
-        self.width
+            lead(&pool)
+        });
+        pool.rethrow();
+        out
     }
 
     /// Enqueues one task digest (round-robin across lanes) and wakes
     /// parked lanes.
     pub fn push(&self, task: u64) {
-        let lane = self.rr.fetch_add(1, Ordering::Relaxed) % self.width;
+        let lane = self.rr.fetch_add(1, Ordering::Relaxed) % self.deques.len();
         lock(&self.deques[lane]).push_back(task);
         self.notify();
     }
 
-    /// Pops the next task for `lane`: its own deque's front first, then
-    /// the back of the other lanes' deques (a steal, counted). `None`
-    /// means every deque is empty *at this instant* — park with
-    /// [`Pool::wait_epoch`] or exit if [`Pool::shutdown_requested`].
-    pub fn next_task(&self, lane: usize) -> Option<u64> {
-        if let Some(task) = lock(&self.deques[lane]).pop_front() {
-            return Some(task);
-        }
-        (1..self.width).find_map(|k| {
-            let stolen = lock(&self.deques[(lane + k) % self.width]).pop_back();
-            if stolen.is_some() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                STEALS.fetch_add(1, Ordering::Relaxed);
+    /// Runs one queued task on the lead's lane (its own deque first,
+    /// then a steal) and returns `true`, or returns `false` if every
+    /// deque is empty at this instant. Re-raises a worker's panic
+    /// first. Tasks run here do not bump the epoch: the lead is the
+    /// only lane that waits on completions.
+    pub fn help(&self) -> bool {
+        self.rethrow();
+        match self.pop(0) {
+            Some(key) => {
+                (self.task)(key);
+                true
             }
-            stolen
-        })
+            None => false,
+        }
     }
 
     /// The current wake epoch. Snapshot it *before* checking for work:
@@ -442,10 +380,66 @@ impl Pool {
         *lock(&self.epoch)
     }
 
+    /// Parks the lead until the epoch advances past `seen` (a push, a
+    /// worker completion or a worker panic) or shutdown is flagged, then
+    /// re-raises a worker's panic if one happened.
+    pub fn wait_epoch(&self, seen: u64) {
+        self.park(seen);
+        self.rethrow();
+    }
+
+    /// Tasks this pool's lanes stole from each other's deques.
+    pub fn steals(&self) -> u64 {
+        self.steals.load(Ordering::Relaxed)
+    }
+
+    /// The worker loop: run popped tasks until shutdown, parking when
+    /// the deques are dry. A task panic is caught, stored for the lead
+    /// and stops the pool.
+    fn work(&self, lane: usize) {
+        let _lane = LaneGuard::enter(lane, None);
+        loop {
+            let epoch = self.epoch();
+            if self.shutdown.load(Ordering::Relaxed) {
+                return;
+            }
+            match self.pop(lane) {
+                Some(key) => {
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| (self.task)(key)));
+                    if let Err(payload) = ran {
+                        lock(&self.panic).get_or_insert(payload);
+                        self.finish();
+                        return;
+                    }
+                    self.notify();
+                }
+                None => self.park(epoch),
+            }
+        }
+    }
+
+    /// Pops `lane`'s own deque front, else steals another lane's back
+    /// (counted). The own-deque pop is its own statement so its guard
+    /// drops before a steal locks a neighbour's deque: holding both
+    /// would let two idle lanes deadlock on each other's locks.
+    fn pop(&self, lane: usize) -> Option<u64> {
+        let own = lock(&self.deques[lane]).pop_front();
+        own.or_else(|| {
+            let width = self.deques.len();
+            (1..width).find_map(|k| {
+                let stolen = lock(&self.deques[(lane + k) % width]).pop_back();
+                if stolen.is_some() {
+                    self.steals.fetch_add(1, Ordering::Relaxed);
+                }
+                stolen
+            })
+        })
+    }
+
     /// Parks until the epoch advances past `seen` or shutdown is
     /// flagged. The parked lane is not counted busy, so `peak_workers`
     /// reflects genuinely concurrent work.
-    pub fn wait_epoch(&self, seen: u64) {
+    fn park(&self, seen: u64) {
         busy_exit();
         let mut epoch = lock(&self.epoch);
         while *epoch == seen && !self.shutdown.load(Ordering::Relaxed) {
@@ -455,40 +449,56 @@ impl Pool {
         busy_enter();
     }
 
-    /// Advances the epoch and wakes every parked lane. Called by `push`
-    /// automatically; call it directly after publishing results some
-    /// other lane may be waiting on.
-    pub fn notify(&self) {
-        *lock(&self.epoch) += 1;
+    /// Advances the epoch and wakes every parked lane. Runs in the
+    /// lead's drop guard, so it must not panic: a poisoned epoch is
+    /// still a valid counter.
+    fn notify(&self) {
+        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         self.cv.notify_all();
-    }
-
-    /// True once the lead closure has returned (or `width == 1`).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Tasks this pool's lanes stole from each other's deques.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 
     fn finish(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.notify();
     }
+
+    /// Resumes a stored worker panic on the calling thread.
+    fn rethrow(&self) {
+        let payload = lock(&self.panic).take();
+        if let Some(payload) = payload {
+            panic::resume_unwind(payload);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    /// Tests below mutate process-global knobs (`set_jobs`, the stats
-    /// counters, the clamp); serialize them so `cargo test`'s parallel
+    /// Tests below mutate process-global knobs (`set_jobs`, the peak
+    /// counter, the clamp); serialize them so `cargo test`'s parallel
     /// harness cannot interleave their windows.
     fn guard() -> MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
         lock(&GUARD)
+    }
+
+    /// Runs `f` on a fresh thread and returns its outcome (`Err` holds a
+    /// literal panic message), failing the test if `f` is still running
+    /// after `secs` seconds — a hang becomes a failure, not a stuck run.
+    fn within<T: Send + 'static>(
+        secs: u64,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, Option<&'static str>> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let out = panic::catch_unwind(AssertUnwindSafe(f));
+            let _ = tx.send(out.map_err(|p| p.downcast_ref::<&'static str>().copied()));
+        });
+        let out = rx.recv_timeout(Duration::from_secs(secs));
+        out.expect("parallel section hung")
     }
 
     #[test]
@@ -532,51 +542,47 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_tasks() {
+    fn stats_track_peak_workers() {
         let _g = guard();
-        reset_stats();
+        ACTIVE.store(0, Ordering::Relaxed);
         set_jobs(2);
         let _ = par_run(10, |i| i);
         set_jobs(0);
-        let s = stats();
-        assert_eq!(s.tasks, 10);
-        assert!(s.peak_workers >= 1);
+        assert!(peak_workers() >= 1);
+        // Every lane left its busy section: only the peak half remains.
+        assert_eq!(ACTIVE.load(Ordering::Relaxed) & 0xffff_ffff, 0);
     }
 
     #[test]
     fn stealing_workers_never_deadlock() {
         let _g = guard();
-        // Two workers over four tasks drain their own deques and then
-        // steal from each other at nearly the same instant. A worker
-        // that still held its own deque lock while locking its
-        // neighbour's would deadlock ABBA within a few thousand batches;
-        // the watchdog turns that hang into a failure.
+        // Two lanes over four tasks drain their own deques and then
+        // steal from each other at nearly the same instant. A lane that
+        // still held its own deque lock while locking its neighbour's
+        // would deadlock ABBA within a few thousand batches; the
+        // watchdog turns that hang into a failure.
         const BATCHES: usize = 50_000;
         set_jobs(2);
         set_pool_unclamped(true);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let finished = within(60, || {
             for _ in 0..BATCHES {
                 assert_eq!(par_run(4, |i| i), [0, 1, 2, 3]);
             }
-            let _ = tx.send(());
         });
-        let finished = rx.recv_timeout(std::time::Duration::from_secs(60));
         set_pool_unclamped(false);
         set_jobs(0);
-        // `Timeout` is the deadlock; `Disconnected` a panicking batch.
         assert_eq!(finished, Ok(()), "par_run did not finish {BATCHES} batches");
     }
 
     #[test]
     fn peak_tracks_provably_concurrent_workers_exactly() {
         let _g = guard();
-        // Stress the packed busy/peak word: four workers rendezvous on a
+        // Stress the packed busy/peak word: four lanes rendezvous on a
         // barrier *inside* their tasks, so all four are provably busy at
         // the same instant and the peak must report exactly 4 — the old
         // split-atomic scheme could under-report under contention.
         const WIDTH: usize = 4;
-        reset_stats();
+        ACTIVE.store(0, Ordering::Relaxed);
         set_jobs(WIDTH);
         set_pool_unclamped(true);
         let barrier = std::sync::Barrier::new(WIDTH);
@@ -585,58 +591,119 @@ mod tests {
         });
         set_pool_unclamped(false);
         set_jobs(0);
-        assert_eq!(stats().peak_workers, WIDTH);
+        assert_eq!(peak_workers(), WIDTH);
+    }
+
+    #[test]
+    fn nested_sections_stay_serial_on_every_lane() {
+        let _g = guard();
+        // Each of the four lanes, the caller's lane 0 included, runs
+        // exactly one task (the barrier holds every lane in its first),
+        // and a parallel section opened inside any of them resolves to
+        // width 1.
+        const WIDTH: usize = 4;
+        set_jobs(WIDTH);
+        set_pool_unclamped(true);
+        let barrier = std::sync::Barrier::new(WIDTH);
+        let mut seen = par_run(WIDTH, |_| {
+            barrier.wait();
+            (current_lane(), pool_width())
+        });
+        let outside = pool_width();
+        set_pool_unclamped(false);
+        set_jobs(0);
+        seen.sort();
+        assert_eq!(
+            seen,
+            [(Some(0), 1), (Some(1), 1), (Some(2), 1), (Some(3), 1)]
+        );
+        assert_eq!((outside, current_lane()), (WIDTH, None), "caller restored");
+    }
+
+    #[test]
+    fn lane_zero_task_panic_propagates_from_par_run() {
+        let _g = guard();
+        // Worker lanes hold their first task until lane 0 has started
+        // one, so lane 0 runs a task (from its own deque) and panics in
+        // it; the workers must then be released and the panic surface.
+        set_jobs(4);
+        set_pool_unclamped(true);
+        let out = within(10, || {
+            let lane0_started = AtomicBool::new(false);
+            par_run(8, |i| {
+                if current_lane() == Some(0) {
+                    lane0_started.store(true, Ordering::Relaxed);
+                    panic!("lane 0 task panicked");
+                }
+                while !lane0_started.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                i
+            })
+        });
+        set_pool_unclamped(false);
+        set_jobs(0);
+        assert_eq!(out, Err(Some("lane 0 task panicked")));
+    }
+
+    #[test]
+    fn lead_panic_releases_parked_workers() {
+        let _g = guard();
+        // The worker parks waiting for work that never comes; the lead's
+        // panic must still flag shutdown so the scope can join.
+        let out = within(10, || Pool::scope(2, &|_| {}, |_| panic!("lead panicked")));
+        assert_eq!(out, Err(Some("lead panicked")));
+    }
+
+    #[test]
+    fn worker_panic_wakes_the_waiting_lead() {
+        let _g = guard();
+        // The lead waits for a completion the panicking worker never
+        // delivers; the panic must wake it and surface on it.
+        let out = within(10, || {
+            Pool::scope(2, &|_| panic!("worker panicked"), |pool| -> () {
+                pool.push(0);
+                loop {
+                    pool.wait_epoch(pool.epoch());
+                }
+            })
+        });
+        assert_eq!(out, Err(Some("worker panicked")));
     }
 
     #[test]
     fn pool_workers_steal_from_idle_lanes() {
         let _g = guard();
-        reset_stats();
         let done = AtomicUsize::new(0);
-        Pool::scope(
-            2,
-            |pool, lane| loop {
-                let epoch = pool.epoch();
-                match pool.next_task(lane) {
-                    Some(_) => {
-                        done.fetch_add(1, Ordering::Relaxed);
-                        pool.notify();
-                    }
-                    None if pool.shutdown_requested() => break,
-                    None => pool.wait_epoch(epoch),
-                }
-            },
-            |pool| {
-                for task in 0..100u64 {
-                    pool.push(task);
-                }
-                // The lead never drains its own deque, so the single
-                // worker must steal every task dealt to lane 0.
-                let mut epoch = pool.epoch();
-                while done.load(Ordering::Relaxed) < 100 {
-                    pool.wait_epoch(epoch);
-                    epoch = pool.epoch();
-                }
-                assert_eq!(pool.steals(), 50);
-            },
-        );
+        Pool::scope(2, &|_| _ = done.fetch_add(1, Ordering::Relaxed), |pool| {
+            for task in 0..100u64 {
+                pool.push(task);
+            }
+            // The lead never helps, so the single worker must steal
+            // every task dealt to lane 0.
+            let mut epoch = pool.epoch();
+            while done.load(Ordering::Relaxed) < 100 {
+                pool.wait_epoch(epoch);
+                epoch = pool.epoch();
+            }
+            assert_eq!(pool.steals(), 50);
+        });
         assert_eq!(done.load(Ordering::Relaxed), 100);
-        assert_eq!(stats().steals, 50);
     }
 
     #[test]
     fn pool_width_one_runs_lead_inline() {
         let _g = guard();
-        let out = Pool::scope(
-            1,
-            |_, _| unreachable!("width 1 spawns no workers"),
-            |pool| {
-                assert!(pool.shutdown_requested());
-                assert_eq!(current_lane(), Some(0));
-                7u32
-            },
-        );
-        assert_eq!(out, 7);
+        let ran = AtomicUsize::new(0);
+        let out = Pool::scope(1, &|_| _ = ran.fetch_add(1, Ordering::Relaxed), |pool| {
+            assert_eq!((current_lane(), pool_width()), (Some(0), 1));
+            // No workers: pushed digests run only when the lead helps.
+            pool.push(0);
+            pool.push(1);
+            while pool.help() {}
+            7u32
+        });
+        assert_eq!((out, ran.load(Ordering::Relaxed)), (7, 2));
         assert_eq!(current_lane(), None);
     }
 }

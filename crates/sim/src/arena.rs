@@ -326,10 +326,12 @@ impl std::fmt::Debug for SimArena {
 #[derive(Debug, Default, Clone)]
 pub struct ArenaPool {
     free: std::sync::Arc<std::sync::Mutex<Vec<SimArena>>>,
-    /// Lane-affine slots: pool/`par_run` worker threads carry a stable
-    /// lane id (`mpress_par::current_lane`), and a lane that keeps
-    /// checking out *the same* arena keeps its graph tables and task
-    /// buffers cache-warm across speculative emulations. Slots are
+    /// Lane-affine slots: every lane of a `mpress_par::Pool` scope —
+    /// the caller as lane 0 (a `par_run` caller too) and each worker
+    /// thread — carries a stable lane id (`mpress_par::current_lane`),
+    /// and a lane that keeps checking out *the same* arena keeps its
+    /// graph tables and task buffers cache-warm across speculative
+    /// emulations. Slots are
     /// `try_lock`ed — when two concurrent searches collide on a lane id
     /// the loser silently falls back to the free list, so affinity is
     /// purely a wall-clock optimization.
