@@ -8,8 +8,7 @@
 //! {"wall_s": 0.175, "jobs": 1, "emulator_runs": 78, "cache_hits": 6,
 //!  "cache_hits_canonical": 0, "cache_hit_rate": 0.0714,
 //!  "verifier_rejections": 0, "bounds_pruned": 16,
-//!  "peak_workers": 1, "steals": 0,
-//!  "speculative_runs": 0, "speculation_wasted": 0, "bound_aborts": 26,
+//!  "peak_workers": 1, "bound_aborts": 26,
 //!  "refinement_rounds": 56, "refine_candidates": [1, 6, 3, 5, 1, 4, 3, 1, 1, 7, 9, 14, 1]}
 //! ```
 //!
@@ -77,8 +76,7 @@ fn main() {
         "{{\"wall_s\": {:.3}, \"jobs\": {}, \"emulator_runs\": {}, \"cache_hits\": {}, \
          \"cache_hits_canonical\": {}, \"cache_hit_rate\": {:.4}, \
          \"verifier_rejections\": {}, \"bounds_pruned\": {}, \
-         \"peak_workers\": {}, \"steals\": {}, \
-         \"speculative_runs\": {}, \"speculation_wasted\": {}, \"bound_aborts\": {}, \
+         \"peak_workers\": {}, \"bound_aborts\": {}, \
          \"refinement_rounds\": {}, \"refine_candidates\": [{}]}}\n",
         wall_s,
         plan.search.jobs,
@@ -89,9 +87,6 @@ fn main() {
         plan.search.verifier_rejections,
         plan.search.bounds_pruned,
         plan.search.peak_workers,
-        plan.search.steals,
-        plan.search.speculative_runs,
-        plan.search.speculation_wasted,
         plan.search.bound_aborts,
         plan.refinement_rounds,
         candidates
@@ -102,19 +97,15 @@ fn main() {
     });
     print!("{json}");
     eprintln!(
-        "planner wall {wall_s:.3}s at jobs={} (peak {} workers, {} steals), \
+        "planner wall {wall_s:.3}s at jobs={} (peak {} workers), \
          {} emulator runs, {} cache hits (+{} canonical), {} bounds prunes, \
-         {} speculative runs ({} wasted), {} bound aborts \
-         -> {out_path}",
+         {} bound aborts -> {out_path}",
         plan.search.jobs,
         plan.search.peak_workers,
-        plan.search.steals,
         plan.search.emulator_runs,
         plan.search.cache_hits,
         plan.search.cache_hits_canonical,
         plan.search.bounds_pruned,
-        plan.search.speculative_runs,
-        plan.search.speculation_wasted,
         plan.search.bound_aborts
     );
 }

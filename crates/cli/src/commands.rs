@@ -82,11 +82,10 @@ fn search_summary(s: &mpress::SearchStats, indent: &str, candidates: Option<&[us
         let _ = write!(out, ", candidates/round {c:?}");
     }
     out.push('\n');
-    let _ = writeln!(out, "{indent}bounds: {} pruned", s.bounds_pruned);
     let _ = writeln!(
         out,
-        "{indent}speculation: {} runs ({} wasted), {} steals, {} bound aborts",
-        s.speculative_runs, s.speculation_wasted, s.steals, s.bound_aborts,
+        "{indent}bounds: {} pruned, {} bound aborts",
+        s.bounds_pruned, s.bound_aborts,
     );
     out
 }

@@ -30,7 +30,7 @@ use mpress_sim::{
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Which techniques the planner may use. Disabling subsets yields the
 /// paper's baselines (recomputation-only, GPU-CPU-swap-only, D2D-only).
@@ -122,13 +122,6 @@ pub struct PlannerConfig {
     /// window per candidate. Set only through
     /// [`PlannerConfig::reference`]; tests compare against it.
     reference: bool,
-    /// Widened refinement grid: every victim additionally tries
-    /// dropping its directive outright and the opposite host tier,
-    /// roughly doubling the candidate frontier. Unlike reference mode
-    /// this **steers the search** (it joins the plan digest): wider
-    /// grids explore assignments the default walk never visits. Used
-    /// by the `exp_bench_search` scaling grid; off by default.
-    pub explore: bool,
 }
 
 impl Default for PlannerConfig {
@@ -141,7 +134,6 @@ impl Default for PlannerConfig {
             mapping_search: true,
             exhaustive_swap: false,
             reference: false,
-            explore: false,
         }
     }
 }
@@ -198,17 +190,11 @@ impl PlannerConfig {
         self.exhaustive_swap = on;
         self
     }
-
-    /// Toggles the widened (exploratory) refinement grid.
-    pub fn explore(mut self, on: bool) -> Self {
-        self.explore = on;
-        self
-    }
 }
 
 /// Counters describing one planner search: how much emulator work ran,
-/// how much the memoization cache absorbed, and how parallel the search
-/// was. Surfaced through `Insights`/CLI output so speedups are
+/// how much the memoization cache absorbed, and how many workers the
+/// portfolio ran on. Surfaced through `Insights`/CLI output so speedups are
 /// observable, not just asserted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchStats {
@@ -241,18 +227,14 @@ pub struct SearchStats {
     /// bound that cannot even tie the incumbent. Zero in reference
     /// mode ([`PlannerConfig::reference`]).
     pub bounds_pruned: usize,
-    /// Frontier tasks a pool worker claimed from another lane's deque
-    /// (see [`mpress_par::Pool`]). Zero on a serial search.
+    /// Always 0: speculative frontier evaluation was removed. Kept only
+    /// because the repo benchmark (`perfbench`) still reads it.
     pub steals: usize,
-    /// Candidate evaluations executed speculatively by pool workers
-    /// ahead of adjudication (the adjudicator's own inline evaluations
-    /// are not counted). Zero on a serial search.
+    /// Always 0; kept only because the repo benchmark still reads it
+    /// (see [`SearchStats::steals`]).
     pub speculative_runs: usize,
-    /// Speculative evaluations whose result was discarded: the frontier
-    /// was invalidated by a commit before adjudication reached them, or
-    /// the incumbent they raced against had already been replaced
-    /// (stale-threshold re-evaluation). `speculative_runs -
-    /// speculation_wasted` is the useful speculation.
+    /// Always 0; kept only because the repo benchmark still reads it
+    /// (see [`SearchStats::steals`]).
     pub speculation_wasted: usize,
     /// Emulator windows aborted by the bound-and-abort gate: the
     /// simulated clock passed `incumbent * 1.001` mid-window, proving
@@ -373,9 +355,6 @@ struct EmulationCache {
     /// including ones the gates never see.
     lb_memo: Mutex<HashMap<u64, Secs>>,
     bound_aborts: AtomicUsize,
-    spec_runs: AtomicUsize,
-    spec_wasted: AtomicUsize,
-    steals: AtomicUsize,
 }
 
 /// What one emulator window reports back to the search.
@@ -565,79 +544,36 @@ fn canon_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
 }
 
 /// One emulator-verified replacement attempt for a refinement victim:
-/// the full trial choice vector plus (for D2D re-routes) the donor
-/// budgets the trial reserved from.
+/// the choice it tries in place of the incumbent's plus (for D2D
+/// re-routes) the donor budgets the trial reserved from.
 struct RefineTrial {
-    choice: Vec<Choice>,
+    replacement: Choice,
     budgets: Option<Vec<Vec<(DeviceId, u32, Bytes)>>>,
 }
 
-/// A refinement candidate on the adjudicator's priority frontier:
-/// everything needed to adopt it on commit. The frontier key it sits
-/// under — `(lb_bits, canon_key, exact_key, seq)` — orders candidates
-/// by certified makespan lower bound first (most promising = lowest
-/// bound), and the digest tie-breaks make the order a pure function of
-/// the candidate set, never of evaluation timing.
+/// A refinement trial waiting on the priority frontier: everything
+/// needed to re-emit its plan when popped and to adopt it on commit.
+/// Every entry differs from the incumbent in its victim's choice alone
+/// (a commit clears the frontier), so only that choice is kept; the
+/// plan is emitted once to compute the frontier key and again when
+/// popped, so a frontier of thousands of trials never holds thousands
+/// of plans or choice vectors. The key it sits under —
+/// `(lb_bits, canon_key, exact_key)` — orders trials by certified
+/// makespan lower bound first (most promising = lowest bound), and the
+/// digest tie-breaks make the order a pure function of the trial set.
 struct FrontierEntry {
     victim: usize,
-    choice: Vec<Choice>,
-    budgets: Option<Vec<Vec<(DeviceId, u32, Bytes)>>>,
-    plan: Arc<InstrumentationPlan>,
-    key: u64,
+    trial: RefineTrial,
 }
 
-/// State shared between the refinement adjudicator (lane 0) and the
-/// speculative pool workers. Workers only ever *read* candidates and
-/// *write* evaluation slots; every search decision is taken by the
-/// adjudicator, in frontier order, so outcomes cannot depend on worker
-/// timing.
-struct SpecShared {
-    /// Evaluable candidates by structural key. Cleared on every commit
-    /// (queued evaluations of invalidated candidates become no-ops) and
-    /// at search end (post-search deque drains stop doing work).
-    jobs: Mutex<HashMap<u64, Arc<InstrumentationPlan>>>,
-    /// Evaluation slots: claimed (in flight) or done. A slot is claimed
-    /// exactly once, so no candidate is ever emulated twice
-    /// concurrently.
-    results: Mutex<HashMap<u64, SpecState>>,
-    /// The incumbent metric speculative evaluations race against.
-    /// Updated by the adjudicator on commit; a stale snapshot
-    /// only makes a speculative verdict *inconclusive* (see
-    /// [`SpecResult::Lost`]), never wrong.
-    incumbent: Mutex<Metric>,
-}
-
-/// One evaluation slot in [`SpecShared::results`].
-enum SpecState {
-    Claimed,
-    Done(SpecResult),
-}
-
-/// The verdict of one candidate evaluation. `Outcome`, `Rejected` and
-/// `CertifiedLoss` are *conclusive*: they are pure functions of the
-/// candidate (and for `CertifiedLoss` of the incumbent's OOM-freeness,
-/// which never regresses), so the adjudicator can consume them no
-/// matter which incumbent the evaluation raced against. `Lost` is
-/// threshold-relative: it is conclusive only while the incumbent's
-/// acceptance threshold has not *tightened* past the one the evaluation
-/// saw (commits may raise the makespan by up to the 1.001x tiebreak
-/// slack); a stale `Lost` is re-evaluated inline and the speculative
-/// run counted as wasted.
-#[derive(Clone)]
-enum SpecResult {
-    /// Full emulation completed. The OOM event is deliberately dropped:
-    /// adjudication only compares [`Metric`]s (the feasibility loop,
-    /// which does consume OOM events, runs before the frontier search).
-    Outcome(Metric),
-    /// Static verifier found a structural malformation.
-    Rejected,
-    /// Certified-OOM residency bound against a non-OOM incumbent.
-    CertifiedLoss,
-    /// Pruned by the certified lower bound or aborted past the makespan
-    /// bound while `threshold` was the acceptance bar.
-    Lost { threshold: Secs },
-    /// The evaluation itself failed (cancellation, bad plan).
-    Failed(SimError),
+/// The refinement frontier of one search (see [`FrontierEntry`]).
+#[derive(Default)]
+struct Frontier {
+    entries: BTreeMap<(u64, u64, u64), FrontierEntry>,
+    /// Structural keys of every trial ever enqueued, so no two entries
+    /// share an exact key. Persists across commits: a trial that lost
+    /// to an older incumbent cannot beat a newer one (DESIGN.md §13b).
+    seen: HashSet<u64>,
 }
 
 /// What one (possibly bounded) emulator window produced.
@@ -645,22 +581,6 @@ enum RunOut {
     Done(Outcome),
     /// The simulated clock passed the makespan bound; no usable metric.
     Aborted,
-}
-
-/// How one candidate fared against the gate chain, for callers that
-/// need to distinguish *why* no outcome was produced (the speculative
-/// search does; [`Planner::emulate_bounded`] flattens this to an
-/// `Option`).
-enum Gated {
-    Outcome(Metric, Option<OomEvent>),
-    /// Structural verifier rejection (only with an incumbent; without
-    /// one the rejection is an error).
-    Rejected,
-    /// Certified-OOM residency verdict against a non-OOM incumbent.
-    CertifiedLoss,
-    /// Lower-bound prune or bound-and-abort: the candidate provably
-    /// cannot beat the incumbent it was gated against.
-    Lost,
 }
 
 /// Assigns compaction techniques to one job's tensor classes.
@@ -758,9 +678,9 @@ impl<'a> Planner<'a> {
             windows_replayed: 0,
             windows_total: 0,
             bounds_pruned: self.cache.bounds_pruned.load(Ordering::Relaxed),
-            steals: self.cache.steals.load(Ordering::Relaxed),
-            speculative_runs: self.cache.spec_runs.load(Ordering::Relaxed),
-            speculation_wasted: self.cache.spec_wasted.load(Ordering::Relaxed),
+            steals: 0,
+            speculative_runs: 0,
+            speculation_wasted: 0,
             bound_aborts: self.cache.bound_aborts.load(Ordering::Relaxed),
         }
     }
@@ -799,7 +719,7 @@ impl<'a> Planner<'a> {
     pub fn plan(&self) -> Result<MpressPlan, SimError> {
         let profile = Profile::collect(self.machine, self.job, self.lowered)?;
         let opts = self.config.optimizations;
-        let mut variants: Vec<OptimizationSet> = Vec::new();
+        let mut variants: Vec<OptimizationSet> = vec![opts];
         if opts.d2d && (opts.recompute || opts.host_swap) {
             variants.push(OptimizationSet { d2d: false, ..opts });
         }
@@ -814,45 +734,42 @@ impl<'a> Planner<'a> {
                 ..opts
             });
         }
-        let mut best = self.plan_with(opts, &profile)?;
-        if variants.is_empty() {
-            best.search = self.search_stats();
-            return Ok(best);
-        }
-        let mut best_metric = self.emulate(&best.instrumentation, &best.device_map)?.0;
-        // The portfolio variants are independent searches: plan and
-        // emulate them concurrently, then fold the winners back in the
-        // fixed variant order so the outcome matches the serial walk.
-        // Pruning is against the *pre-fold* incumbent — conservative even
-        // though the fold may improve it, because pruning against a worse
-        // incumbent only prunes less.
-        let fold_incumbent = best_metric;
-        let alternatives: Vec<Result<(MpressPlan, Option<Metric>), SimError>> =
-            mpress_par::par_map(&variants, |variant| {
-                let alternative = self.plan_with(*variant, &profile)?;
-                let alt_metric = self
-                    .emulate_bounded(
-                        &alternative.instrumentation,
-                        &alternative.device_map,
-                        Some(fold_incumbent),
-                    )?
-                    .map(|(m, _)| m);
-                Ok((alternative, alt_metric))
-            });
-        for (variant, outcome) in variants.iter().zip(alternatives) {
-            let (alternative, alt_metric) = outcome?;
-            let Some(alt_metric) = alt_metric else {
-                continue; // pruned: cannot beat the incumbent
-            };
-            if mpress_obs::verbosity().plan_debug {
-                eprintln!(
-                    "portfolio {variant:?}: oom={} makespan={:.4} vs best oom={} makespan={:.4}",
-                    alt_metric.oom, alt_metric.makespan, best_metric.oom, best_metric.makespan
-                );
-            }
-            if metric_better(alt_metric, best_metric) {
-                best = alternative;
-                best_metric = alt_metric;
+        // The full search and its restricted variants are independent:
+        // run them as one parallel section (each frontier runs serially
+        // on its lane), then fold the winners in the fixed variant order
+        // so the outcome matches the serial walk.
+        let mut planned =
+            mpress_par::par_map(&variants, |variant| self.plan_with(*variant, &profile))
+                .into_iter();
+        let mut best = planned
+            .next()
+            .expect("the full variant is always planned")?;
+        if variants.len() > 1 {
+            // Pruning is against the full plan's metric — conservative
+            // even though the fold may improve the incumbent, because
+            // pruning against a worse incumbent only prunes less.
+            let full_metric = self.emulate(&best.instrumentation, &best.device_map)?.0;
+            let mut best_metric = full_metric;
+            for (variant, alternative) in variants[1..].iter().zip(planned) {
+                let alternative = alternative?;
+                let Some((alt_metric, _)) = self.emulate_bounded(
+                    &alternative.instrumentation,
+                    &alternative.device_map,
+                    Some(full_metric),
+                )?
+                else {
+                    continue; // pruned: cannot beat the incumbent
+                };
+                if mpress_obs::verbosity().plan_debug {
+                    eprintln!(
+                        "portfolio {variant:?}: oom={} makespan={:.4} vs best oom={} makespan={:.4}",
+                        alt_metric.oom, alt_metric.makespan, best_metric.oom, best_metric.makespan
+                    );
+                }
+                if metric_better(alt_metric, best_metric) {
+                    best = alternative;
+                    best_metric = alt_metric;
+                }
             }
         }
         best.search = self.search_stats();
@@ -1107,208 +1024,79 @@ impl<'a> Planner<'a> {
                     .then(classes[b].peak_saving().cmp(&classes[a].peak_saving()))
             });
             let victims: Vec<usize> = victims.into_iter().take(self.config.refine_iters).collect();
-            // --- Speculative best-first frontier search -------------------
-            // The adjudicator (this thread, lane 0) owns a priority
-            // frontier of candidates ordered by certified makespan lower
-            // bound; persistent pool workers speculatively evaluate
-            // frontier candidates from per-lane deques (stealing when
-            // their own runs dry) against an atomic incumbent snapshot.
-            // Candidates are *adjudicated* strictly in frontier order
-            // regardless of completion order, and inconclusive
-            // speculative verdicts are re-evaluated inline, so the
-            // chosen plan is byte-identical across any worker count. A
-            // commit invalidates the whole frontier (its candidates were
-            // built on the replaced incumbent's choice vector) and
-            // regenerates trials for the unconsumed victims.
+            // --- Best-first frontier search -----------------------------
+            // Trials are adjudicated one at a time in frontier order
+            // (certified makespan lower bound first) against the
+            // incumbent. A commit invalidates the whole frontier (its
+            // trials were built on the replaced incumbent's choice
+            // vector) and regenerates trials for the unconsumed victims.
             let mut consumed: Vec<bool> = vec![false; classes.len()];
-            let shared = SpecShared {
-                jobs: Mutex::new(HashMap::new()),
-                results: Mutex::new(HashMap::new()),
-                incumbent: Mutex::new(best_metric),
-            };
-            let spec_before = self.cache.spec_runs.load(Ordering::Relaxed);
+            let mut frontier = Frontier::default();
             let max_adjudications = self.config.refine_iters.saturating_mul(4);
-            let speculate = |key| self.speculate(&shared, &device_map, key);
-            let used_spec: Result<usize, SimError> =
-                mpress_par::Pool::scope(mpress_par::pool_width(), &speculate, |pool| {
-                    let mut frontier: BTreeMap<(u64, u64, u64, u64), FrontierEntry> =
-                        BTreeMap::new();
-                    let mut seen: HashSet<u64> = HashSet::new();
-                    let mut submitted: HashSet<u64> = HashSet::new();
-                    let mut seq = 0u64;
-                    let mut used_spec = 0usize;
-                    let mut since_commit = 0usize;
-                    let mut adjudicated = 0usize;
-                    // Generates trials for every unconsumed victim
-                    // against the current incumbent and enqueues the
-                    // structurally new ones on the frontier and in the
-                    // shared job table. On a width-1 pool nothing pops
-                    // the queued keys: the lead evaluates each inline.
-                    let enqueue_victims =
-                        |frontier: &mut BTreeMap<(u64, u64, u64, u64), FrontierEntry>,
-                         seen: &mut HashSet<u64>,
-                         seq: &mut u64,
-                         choice: &[Choice],
-                         budgets: &[Vec<(DeviceId, u32, Bytes)>],
-                         consumed: &[bool]|
-                         -> Result<(), SimError> {
-                            for &i in &victims {
-                                if consumed[i] {
-                                    continue;
-                                }
-                                for trial in self.refine_trials(
-                                    opts, &cost, classes, &minted, i, choice, budgets,
-                                ) {
-                                    let plan = self.emit(
-                                        classes,
-                                        &trial.choice,
-                                        trial.budgets.as_deref().unwrap_or(budgets),
-                                        &device_map,
-                                    )?;
-                                    let key = cache_key(&plan, &device_map);
-                                    if !seen.insert(key) {
-                                        continue;
-                                    }
-                                    let lb = self.frontier_lb(key, &plan, &device_map);
-                                    let ckey = canon_key(&plan, &device_map);
-                                    let plan = Arc::new(plan);
-                                    shared
-                                        .jobs
-                                        .lock()
-                                        .expect("spec jobs lock")
-                                        .insert(key, Arc::clone(&plan));
-                                    frontier.insert(
-                                        (lb.to_bits(), ckey, key, *seq),
-                                        FrontierEntry {
-                                            victim: i,
-                                            choice: trial.choice,
-                                            budgets: trial.budgets,
-                                            plan,
-                                            key,
-                                        },
-                                    );
-                                    *seq += 1;
-                                }
-                            }
-                            Ok(())
-                        };
-                    enqueue_victims(
-                        &mut frontier,
-                        &mut seen,
-                        &mut seq,
-                        &choice,
-                        &budgets,
-                        &consumed,
-                    )?;
-                    for entry in frontier.values() {
-                        if submitted.insert(entry.key) {
-                            pool.push(entry.key);
+            let enqueue_victims = |frontier: &mut Frontier,
+                                   choice: &[Choice],
+                                   budgets: &[Vec<(DeviceId, u32, Bytes)>],
+                                   consumed: &[bool]|
+             -> Result<(), SimError> {
+                let mut trial_choice = choice.to_vec();
+                for &i in victims.iter().filter(|&&i| !consumed[i]) {
+                    for trial in
+                        self.refine_trials(opts, &cost, classes, &minted, i, choice, budgets)
+                    {
+                        trial_choice[i] = trial.replacement;
+                        let trial_budgets = trial.budgets.as_deref().unwrap_or(budgets);
+                        let plan = self.emit(classes, &trial_choice, trial_budgets, &device_map)?;
+                        let key = cache_key(&plan, &device_map);
+                        if !frontier.seen.insert(key) {
+                            continue;
                         }
+                        let lb = self.frontier_lb(key, &plan, &device_map);
+                        let ckey = canon_key(&plan, &device_map);
+                        frontier.entries.insert(
+                            (lb.to_bits(), ckey, key),
+                            FrontierEntry { victim: i, trial },
+                        );
                     }
-                    while adjudicated < max_adjudications {
-                        let Some((_, entry)) = frontier.pop_first() else {
-                            break;
-                        };
-                        adjudicated += 1;
-                        since_commit += 1;
-                        rounds += 1;
-                        let (verdict, was_spec) =
-                            self.take_result(&shared, pool, &device_map, entry.key, &entry.plan);
-                        // Conclusiveness: a speculative `Lost` is only
-                        // valid while the acceptance bar it raced
-                        // against is at least as tight as today's
-                        // (commits may raise the makespan within the
-                        // tiebreak slack). Stale verdicts re-evaluate
-                        // inline; the speculative run was wasted.
-                        let now_threshold = if best_metric.oom {
-                            f64::INFINITY
-                        } else {
-                            best_metric.makespan * 1.001
-                        };
-                        let (verdict, was_spec) = match verdict {
-                            SpecResult::Lost { threshold } if threshold < now_threshold => {
-                                let fresh =
-                                    self.evaluate_candidate(&entry.plan, &device_map, best_metric);
-                                (fresh, false)
-                            }
-                            other => (other, was_spec),
-                        };
-                        if was_spec {
-                            used_spec += 1;
-                        }
-                        match verdict {
-                            SpecResult::Failed(e) => {
-                                shared.jobs.lock().expect("spec jobs lock").clear();
-                                return Err(e);
-                            }
-                            SpecResult::Outcome(metric) if metric_better(metric, best_metric) => {
-                                // ---- Commit (deterministic: frontier
-                                // order decided who got here first) ----
-                                let FrontierEntry {
-                                    victim,
-                                    choice: winner_choice,
-                                    budgets: winner_budgets,
-                                    plan: winner_plan,
-                                    ..
-                                } = entry;
-                                choice = winner_choice;
-                                if let Some(b) = winner_budgets {
-                                    budgets = b;
-                                }
-                                best_plan = (*winner_plan).clone();
-                                best_metric = metric;
-                                consumed[victim] = true;
-                                refine_candidates.push(since_commit);
-                                since_commit = 0;
-                                *shared.incumbent.lock().expect("spec incumbent lock") =
-                                    best_metric;
-                                // Invalidate the speculative frontier:
-                                // every queued candidate was built on
-                                // the replaced incumbent.
-                                frontier.clear();
-                                shared.jobs.lock().expect("spec jobs lock").clear();
-                                enqueue_victims(
-                                    &mut frontier,
-                                    &mut seen,
-                                    &mut seq,
-                                    &choice,
-                                    &budgets,
-                                    &consumed,
-                                )?;
-                                for entry in frontier.values() {
-                                    if submitted.insert(entry.key) {
-                                        pool.push(entry.key);
-                                    }
-                                }
-                            }
-                            // Lost / rejected / pruned / not better:
-                            // the incumbent stands.
-                            _ => {}
-                        }
-                    }
-                    if since_commit > 0 {
-                        refine_candidates.push(since_commit);
-                    }
-                    // Stop speculation: a worker that pops a stale key
-                    // before the scope closes finds no job.
-                    shared.jobs.lock().expect("spec jobs lock").clear();
-                    self.cache
-                        .steals
-                        .fetch_add(pool.steals() as usize, Ordering::Relaxed);
-                    Ok(used_spec)
-                });
-            let used_spec = used_spec?;
-            // Speculative runs whose verdicts were never consumed —
-            // invalidated by a commit before adjudication, or stale-
-            // threshold re-evaluations — were wasted work.
-            let spec_total = self
-                .cache
-                .spec_runs
-                .load(Ordering::Relaxed)
-                .saturating_sub(spec_before);
-            self.cache
-                .spec_wasted
-                .fetch_add(spec_total.saturating_sub(used_spec), Ordering::Relaxed);
+                    trial_choice[i] = choice[i];
+                }
+                Ok(())
+            };
+            enqueue_victims(&mut frontier, &choice, &budgets, &consumed)?;
+            let mut since_commit = 0usize;
+            for _ in 0..max_adjudications {
+                let Some((_, FrontierEntry { victim, trial })) = frontier.entries.pop_first()
+                else {
+                    break;
+                };
+                since_commit += 1;
+                rounds += 1;
+                let mut trial_choice = choice.clone();
+                trial_choice[victim] = trial.replacement;
+                let trial_budgets = trial.budgets.as_deref().unwrap_or(&budgets);
+                let plan = self.emit(classes, &trial_choice, trial_budgets, &device_map)?;
+                let Some((metric, _)) =
+                    self.emulate_bounded(&plan, &device_map, Some(best_metric))?
+                else {
+                    continue; // rejected, pruned or aborted: cannot win
+                };
+                if !metric_better(metric, best_metric) {
+                    continue;
+                }
+                choice = trial_choice;
+                if let Some(b) = trial.budgets {
+                    budgets = b;
+                }
+                best_plan = plan;
+                best_metric = metric;
+                consumed[victim] = true;
+                refine_candidates.push(since_commit);
+                since_commit = 0;
+                frontier.entries.clear();
+                enqueue_victims(&mut frontier, &choice, &budgets, &consumed)?;
+            }
+            if since_commit > 0 {
+                refine_candidates.push(since_commit);
+            }
             // Portfolio check A: minting donor space may not have paid
             // off at all — try the plan with every unswitched minted
             // offload stripped.
@@ -1539,31 +1327,17 @@ impl<'a> Planner<'a> {
         device_map: &DeviceMap,
         incumbent: Option<Metric>,
     ) -> Result<Option<(Metric, Option<OomEvent>)>, SimError> {
-        match self.emulate_gated(plan, device_map, incumbent)? {
-            Gated::Outcome(metric, oom) => Ok(Some((metric, oom))),
-            Gated::Rejected | Gated::CertifiedLoss | Gated::Lost => Ok(None),
-        }
-    }
-
-    /// The full candidate gate chain — memoization caches, static
-    /// verifier, certified bounds, then a (possibly bound-and-abort)
-    /// emulator window — reporting *which* gate resolved the candidate.
-    /// Aborted windows are never cached: an abort certifies a loss
-    /// against the gating incumbent, not an outcome, and caching it
-    /// would make cache contents depend on evaluation timing.
-    fn emulate_gated(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-        incumbent: Option<Metric>,
-    ) -> Result<Gated, SimError> {
+        // The gate chain: memoization caches, static verifier, certified
+        // bounds, then a (possibly bound-and-abort) emulator window.
+        // Aborted windows are never cached: an abort certifies a loss
+        // against the gating incumbent, not an outcome.
         let key = cache_key(plan, device_map);
-        if let Some((metric, oom)) = self.cache.lookup(key) {
-            return Ok(Gated::Outcome(metric, oom));
+        if let Some(outcome) = self.cache.lookup(key) {
+            return Ok(Some(outcome));
         }
         let ckey = canon_key(plan, device_map);
-        if let Some((metric, oom)) = self.cache.lookup_canon(ckey, key, device_map) {
-            return Ok(Gated::Outcome(metric, oom));
+        if let Some(outcome) = self.cache.lookup_canon(ckey, key, device_map) {
+            return Ok(Some(outcome));
         }
         // Process-global view: outcomes another search computed for this
         // exact (job scope, structural key). A hit is promoted into the
@@ -1574,7 +1348,7 @@ impl<'a> Planner<'a> {
             if let Some(outcome) = shared.emu_lookup(*scope, key) {
                 self.cache.hits.fetch_add(1, Ordering::Relaxed);
                 self.cache.insert(key, outcome);
-                return Ok(Gated::Outcome(outcome.0, outcome.1));
+                return Ok(Some(outcome));
             }
         }
         let verifier = self
@@ -1590,7 +1364,7 @@ impl<'a> Planner<'a> {
                 .verifier_rejections
                 .fetch_add(1, Ordering::Relaxed);
             return if incumbent.is_some() {
-                Ok(Gated::Rejected)
+                Ok(None)
             } else {
                 Err(SimError::BadPlan(format!(
                     "static verifier rejected plan: {}",
@@ -1607,7 +1381,7 @@ impl<'a> Planner<'a> {
             // a non-OOM incumbent.
             if self.certified_oom(key, plan, device_map) {
                 self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
-                return Ok(Gated::CertifiedLoss);
+                return Ok(None);
             }
             // Certified makespan lower bound: `metric_better` accepts a
             // candidate at up to 1.001x the incumbent (the host-traffic
@@ -1616,7 +1390,7 @@ impl<'a> Planner<'a> {
             let lb = self.frontier_lb(key, plan, device_map);
             if lb > best.makespan * 1.001 {
                 self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
-                return Ok(Gated::Lost);
+                return Ok(None);
             }
         }
         // Bound-and-abort: against a feasible incumbent the emulator
@@ -1627,14 +1401,14 @@ impl<'a> Planner<'a> {
             _ => None,
         };
         match self.emulate_uncached_bounded(plan, device_map, bound)? {
-            RunOut::Aborted => Ok(Gated::Lost),
+            RunOut::Aborted => Ok(None),
             RunOut::Done(outcome) => {
                 self.cache.insert(key, outcome);
                 self.cache.insert_canon(ckey, outcome, device_map);
                 if let Some((shared, scope)) = &self.shared {
                     shared.emu_insert(*scope, key, outcome);
                 }
-                Ok(Gated::Outcome(outcome.0, outcome.1))
+                Ok(Some(outcome))
             }
         }
     }
@@ -1706,108 +1480,9 @@ impl<'a> Planner<'a> {
         lb
     }
 
-    /// Evaluates one refinement candidate against a (possibly stale)
-    /// incumbent snapshot, mapping the gate verdict into the
-    /// speculative-result taxonomy. Pure modulo the memoization caches:
-    /// re-running with the same snapshot yields the same verdict.
-    fn evaluate_candidate(
-        &self,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-        incumbent: Metric,
-    ) -> SpecResult {
-        let threshold = if incumbent.oom {
-            f64::INFINITY
-        } else {
-            incumbent.makespan * 1.001
-        };
-        match self.emulate_gated(plan, device_map, Some(incumbent)) {
-            Ok(Gated::Outcome(metric, _)) => SpecResult::Outcome(metric),
-            Ok(Gated::Rejected) => SpecResult::Rejected,
-            Ok(Gated::CertifiedLoss) => SpecResult::CertifiedLoss,
-            Ok(Gated::Lost) => SpecResult::Lost { threshold },
-            Err(e) => SpecResult::Failed(e),
-        }
-    }
-
-    /// One speculative worker step: claim the candidate's evaluation
-    /// slot, evaluate it against the current incumbent snapshot, and
-    /// publish the verdict. A cleared job table (commit or search end)
-    /// or an already-claimed slot makes this a no-op.
-    fn speculate(&self, shared: &SpecShared, device_map: &DeviceMap, key: u64) {
-        let Some(plan) = shared
-            .jobs
-            .lock()
-            .expect("spec jobs lock")
-            .get(&key)
-            .cloned()
-        else {
-            return;
-        };
-        {
-            let mut results = shared.results.lock().expect("spec results lock");
-            if results.contains_key(&key) {
-                return;
-            }
-            results.insert(key, SpecState::Claimed);
-        }
-        let incumbent = *shared.incumbent.lock().expect("spec incumbent lock");
-        let verdict = self.evaluate_candidate(&plan, device_map, incumbent);
-        self.cache.spec_runs.fetch_add(1, Ordering::Relaxed);
-        shared
-            .results
-            .lock()
-            .expect("spec results lock")
-            .insert(key, SpecState::Done(verdict));
-    }
-
-    /// Resolves one popped frontier candidate: consume a speculative
-    /// verdict if a worker produced one, wait (helping with other
-    /// frontier tasks) if one is in flight, or evaluate inline. Returns
-    /// the verdict and whether it came from a speculative run.
-    fn take_result(
-        &self,
-        shared: &SpecShared,
-        pool: &mpress_par::Pool<'_>,
-        device_map: &DeviceMap,
-        key: u64,
-        plan: &InstrumentationPlan,
-    ) -> (SpecResult, bool) {
-        loop {
-            let epoch = pool.epoch();
-            {
-                let mut results = shared.results.lock().expect("spec results lock");
-                match results.get(&key) {
-                    Some(SpecState::Done(verdict)) => return (verdict.clone(), true),
-                    Some(SpecState::Claimed) => {}
-                    None => {
-                        results.insert(key, SpecState::Claimed);
-                        drop(results);
-                        let incumbent = *shared.incumbent.lock().expect("spec incumbent lock");
-                        let verdict = self.evaluate_candidate(plan, device_map, incumbent);
-                        shared
-                            .results
-                            .lock()
-                            .expect("spec results lock")
-                            .insert(key, SpecState::Done(verdict.clone()));
-                        return (verdict, false);
-                    }
-                }
-            }
-            // In flight on a worker: help with other frontier tasks
-            // while waiting, or sleep until something completes.
-            if !pool.help() {
-                pool.wait_epoch(epoch);
-            }
-        }
-    }
-
     /// Builds the emulator-verified replacement trials for one
     /// refinement victim, in a fixed deterministic order (the frontier
-    /// tie-breaks take over from there). With
-    /// [`PlannerConfig::explore`] the grid widens: the victim's
-    /// directive is also dropped outright, and host swaps try the
-    /// opposite tier.
+    /// tie-breaks take over from there).
     #[allow(clippy::too_many_arguments)]
     fn refine_trials(
         &self,
@@ -1825,10 +1500,8 @@ impl<'a> Planner<'a> {
         // critical-path time can simply be undone (the emulator rejects
         // the trial if the memory was needed).
         if minted.contains(&i) {
-            let mut trial_choice = choice.to_vec();
-            trial_choice[i] = Choice::None;
             trials.push(RefineTrial {
-                choice: trial_choice,
+                replacement: Choice::None,
                 budgets: None,
             });
         }
@@ -1836,10 +1509,8 @@ impl<'a> Planner<'a> {
         if opts.d2d && classes[i].swappable {
             let mut trial_budgets = budgets.to_vec();
             if reserve_budget(&classes[i], &mut trial_budgets[stage]) {
-                let mut trial_choice = choice.to_vec();
-                trial_choice[i] = Choice::D2d;
                 trials.push(RefineTrial {
-                    choice: trial_choice,
+                    replacement: Choice::D2d,
                     budgets: Some(trial_budgets),
                 });
             }
@@ -1849,12 +1520,10 @@ impl<'a> Planner<'a> {
             && classes[i].recomputable()
             && matches!(choice[i], Choice::HostSwap { .. })
         {
-            let mut trial_choice = choice.to_vec();
-            trial_choice[i] = Choice::Recompute {
-                overhead: cost.recompute(classes[i].recompute_time).overhead,
-            };
             trials.push(RefineTrial {
-                choice: trial_choice,
+                replacement: Choice::Recompute {
+                    overhead: cost.recompute(classes[i].recompute_time).overhead,
+                },
                 budgets: None,
             });
         }
@@ -1870,57 +1539,13 @@ impl<'a> Planner<'a> {
                     cost.nvme_swap(classes[i].bytes_per_instance, classes[i].live_interval)
                 }
             };
-            let mut trial_choice = choice.to_vec();
-            trial_choice[i] = Choice::HostSwap {
-                overhead: c.overhead,
-                tier,
-            };
             trials.push(RefineTrial {
-                choice: trial_choice,
+                replacement: Choice::HostSwap {
+                    overhead: c.overhead,
+                    tier,
+                },
                 budgets: None,
             });
-        }
-        if self.config.explore {
-            // Exploratory candidate: drop the directive outright — the
-            // emulator arbitrates whether the memory was really needed
-            // (minted victims already get this trial above).
-            if !minted.contains(&i) && choice[i].is_assigned() {
-                let mut trial_choice = choice.to_vec();
-                trial_choice[i] = Choice::None;
-                trials.push(RefineTrial {
-                    choice: trial_choice,
-                    budgets: None,
-                });
-            }
-            // Exploratory candidate: the opposite host tier (NVMe only
-            // when the machine has one to model).
-            if opts.host_swap && classes[i].swappable {
-                if let Choice::HostSwap { tier, .. } = choice[i] {
-                    let flipped = match tier {
-                        HostTier::Dram => HostTier::Nvme,
-                        HostTier::Nvme => HostTier::Dram,
-                    };
-                    if flipped == HostTier::Dram || self.machine.nvme().is_some() {
-                        let c = match flipped {
-                            HostTier::Dram => cost.gpu_cpu_swap(
-                                classes[i].bytes_per_instance,
-                                classes[i].live_interval,
-                            ),
-                            HostTier::Nvme => cost
-                                .nvme_swap(classes[i].bytes_per_instance, classes[i].live_interval),
-                        };
-                        let mut trial_choice = choice.to_vec();
-                        trial_choice[i] = Choice::HostSwap {
-                            overhead: c.overhead,
-                            tier: flipped,
-                        };
-                        trials.push(RefineTrial {
-                            choice: trial_choice,
-                            budgets: None,
-                        });
-                    }
-                }
-            }
         }
         trials
     }

@@ -201,10 +201,6 @@ impl Mpress {
         h = fnv_u64(h, u64::from(c.striping));
         h = fnv_u64(h, u64::from(c.mapping_search));
         h = fnv_u64(h, u64::from(c.exhaustive_swap));
-        // The widened refinement grid visits assignments the default
-        // walk never proposes, so it steers the search and must split
-        // the digest.
-        h = fnv_u64(h, u64::from(c.explore));
         // Reference mode is outcome-transparent (the test suite pins
         // plan identity against it), so it is deliberately not part of
         // the digest: a reference plan answers a default request, and
@@ -312,7 +308,6 @@ pub struct MpressBuilder {
     refine_iters: Option<usize>,
     striping: Option<bool>,
     mapping_search: Option<bool>,
-    explore: Option<bool>,
     metrics: bool,
     plan_cache: Option<PlanCache>,
     arena_pool: Option<ArenaPool>,
@@ -359,14 +354,6 @@ impl MpressBuilder {
     /// Toggles the device-mapping search (Fig. 9 ablation).
     pub fn mapping_search(mut self, on: bool) -> Self {
         self.mapping_search = Some(on);
-        self
-    }
-
-    /// Toggles the planner's widened (exploratory) refinement grid.
-    /// Unlike [`PlannerConfig::reference`] this steers the search, so it
-    /// joins [`Mpress::plan_digest`].
-    pub fn explore(mut self, on: bool) -> Self {
-        self.explore = Some(on);
         self
     }
 
@@ -439,9 +426,6 @@ impl MpressBuilder {
         }
         if let Some(m) = self.mapping_search {
             config.mapping_search = m;
-        }
-        if let Some(x) = self.explore {
-            config.explore = x;
         }
         Ok(Mpress {
             job,

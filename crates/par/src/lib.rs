@@ -1,21 +1,14 @@
 //! Deterministic std-only parallel execution layer.
 //!
-//! MPress's planner is an emulator-in-the-loop search and the paper's
-//! evaluation is a large (model × machine × system) grid — both are
-//! embarrassingly parallel across candidates/cells. This crate has one
-//! executor and one convenience built on it:
-//!
-//! * [`Pool`] — a scoped work-stealing pool carrying `u64` task
-//!   digests. The caller (lane 0) pushes digests into per-lane deques;
-//!   worker threads (lanes `1..width`) run one shared task closure on
-//!   each digest they pop from their own deque's front or steal from
-//!   another lane's back, and park on an epoch condvar between bursts.
-//!   The caller runs queued tasks itself with [`Pool::help`]. One
-//!   `Pool::scope` spans an entire search, so refinement never pays a
-//!   thread spawn per candidate round.
-//! * [`par_map`]/[`par_run`] — push `0..n` into a pool, help until the
-//!   deques are empty, and return the results **in input order**, so
-//!   callers' tie-breaks and table layouts never depend on thread timing.
+//! MPress's planner is an emulator-in-the-loop search over a small
+//! portfolio of independent variant searches, and the paper's evaluation
+//! is a large (model × machine × system) grid — both are embarrassingly
+//! parallel across variants/cells. The public surface is [`par_map`] /
+//! [`par_run`]: they deal `0..n` into a scoped work-stealing pool (the
+//! crate-private `Pool`; the caller works as lane 0, worker threads as
+//! lanes `1..width`, each popping its own deque's front or stealing
+//! another lane's back) and return the results **in input order**, so
+//! callers' tie-breaks and table layouts never depend on thread timing.
 //!
 //! # Determinism contract
 //!
@@ -24,12 +17,9 @@
 //! * The worker count changes only *when* work runs, never *what* is
 //!   returned: `jobs=1` and `jobs=N` are byte-identical as long as the
 //!   mapped closure is a pure function of its input.
-//! * A [`Pool`] carries opaque task digests, not results — the *caller*
-//!   decides what each completion means, which is how the planner keeps
-//!   its frontier adjudication order independent of completion order.
-//! * A panic in any task, on any lane, propagates out of
-//!   [`Pool::scope`] (and so out of `par_run`) with its original
-//!   payload; a panic never leaves the scope waiting on a lane.
+//! * A panic in any task, on any lane, propagates out of `par_run` with
+//!   its original payload; a panic never leaves the call waiting on a
+//!   lane.
 //!
 //! # Choosing the worker count
 //!
@@ -177,10 +167,10 @@ pub const SERIAL_CUTOFF: usize = 3;
 /// Allows (`true`) or re-forbids (`false`) worker counts wider than the
 /// detected hardware parallelism. Oversubscribing CPU-bound pure tasks
 /// normally only adds spawn and context-switch cost, so the clamp is
-/// the default; the scaling bench and stress tests lift it to exercise
-/// real multi-worker interleavings (stealing, speculative completion
-/// order) on small containers. Results are identical at any width;
-/// only wall-clock and the steal/peak counters move.
+/// the default; stress tests lift it to exercise real multi-worker
+/// interleavings (stealing, concurrent portfolio variants) on small
+/// machines. Results are identical at any width; only wall-clock and
+/// the peak-worker counter move.
 pub fn set_pool_unclamped(on: bool) {
     UNCLAMPED.store(on, Ordering::Relaxed);
 }
@@ -203,7 +193,7 @@ pub fn pool_width() -> usize {
 }
 
 /// The pool lane the current thread runs as: `Some(0)` on the thread
-/// that opened a [`Pool::scope`] (a `par_run` caller included),
+/// running a parallel section's `par_run` call,
 /// `Some(1..)` on worker threads, `None` outside any pool scope.
 /// Lane identity is stable for the whole scope, so per-lane caches (the
 /// simulator's warm arenas) stay warm across tasks.
@@ -244,7 +234,7 @@ impl Drop for LaneGuard<'_, '_> {
 /// order. Serial when the resolved width is 1 or `n` is below the
 /// serial cutoff; panics in `f` propagate to the caller either way.
 ///
-/// Indices are dealt round-robin into the [`Pool`]'s lane deques and
+/// Indices are dealt round-robin into the pool's lane deques and
 /// the caller works as lane 0 until they are empty; a lane that drains
 /// its own deque steals from the back of the others', so an uneven
 /// batch (one slow emulation among cheap ones) does not idle the rest.
@@ -287,26 +277,19 @@ where
     par_run(items.len(), |i| f(&items[i]))
 }
 
-/// A scoped work-stealing pool carrying opaque `u64` task digests.
-///
-/// Built for search loops where the task set is *discovered during* the
-/// scope: the caller (lane 0) pushes digests as the frontier unfolds
-/// and the lanes run the scope's one task closure on them. Because
-/// tasks are data rather than closures, that closure borrows state
-/// declared *before* [`Pool::scope`], which keeps the whole crate
-/// `forbid(unsafe_code)`-clean.
-///
-/// The pool makes no ordering promises about *completion*; callers that
-/// need determinism adjudicate results in an order of their own (the
-/// planner uses its frontier order). See DESIGN.md §13.
-pub struct Pool<'t> {
+/// The scoped work-stealing pool behind [`par_run`], carrying opaque
+/// `u64` task digests. Because tasks are data rather than closures, the
+/// one task closure borrows state declared *before* [`Pool::scope`],
+/// which keeps the whole crate `forbid(unsafe_code)`-clean. The pool
+/// makes no ordering promises about *completion*; `par_run` places
+/// results by index. See DESIGN.md §13.
+pub(crate) struct Pool<'t> {
     task: &'t (dyn Fn(u64) + Sync),
     deques: Vec<Mutex<VecDeque<u64>>>,
     rr: AtomicUsize,
     epoch: Mutex<u64>,
     cv: Condvar,
     shutdown: AtomicBool,
-    steals: AtomicU64,
     /// The first worker panic, held until the lead re-raises it.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -317,10 +300,10 @@ impl<'t> Pool<'t> {
     /// they pop or steal, bumping the epoch after each. When `lead`
     /// returns *or unwinds* the workers finish the task in hand and
     /// exit; queued digests are dropped. A worker's panic stops the
-    /// pool and is re-raised on the lead by its next [`Pool::help`] or
-    /// [`Pool::wait_epoch`], or when the scope joins. `width <= 1`
-    /// spawns no threads: pushed digests run only through `help`.
-    pub fn scope<R>(
+    /// pool and is re-raised on the lead by its next [`Pool::help`], or
+    /// when the scope joins. `width <= 1` spawns no threads: pushed
+    /// digests run only through `help`.
+    pub(crate) fn scope<R>(
         width: usize,
         task: &'t (dyn Fn(u64) + Sync),
         lead: impl FnOnce(&Pool<'t>) -> R,
@@ -333,7 +316,6 @@ impl<'t> Pool<'t> {
             epoch: Mutex::new(0),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(width == 1),
-            steals: AtomicU64::new(0),
             panic: Mutex::new(None),
         };
         let out = std::thread::scope(|scope| {
@@ -350,7 +332,7 @@ impl<'t> Pool<'t> {
 
     /// Enqueues one task digest (round-robin across lanes) and wakes
     /// parked lanes.
-    pub fn push(&self, task: u64) {
+    pub(crate) fn push(&self, task: u64) {
         let lane = self.rr.fetch_add(1, Ordering::Relaxed) % self.deques.len();
         lock(&self.deques[lane]).push_back(task);
         self.notify();
@@ -359,9 +341,9 @@ impl<'t> Pool<'t> {
     /// Runs one queued task on the lead's lane (its own deque first,
     /// then a steal) and returns `true`, or returns `false` if every
     /// deque is empty at this instant. Re-raises a worker's panic
-    /// first. Tasks run here do not bump the epoch: the lead is the
-    /// only lane that waits on completions.
-    pub fn help(&self) -> bool {
+    /// first. Tasks run here do not bump the epoch: only parked
+    /// workers wait on it.
+    pub(crate) fn help(&self) -> bool {
         self.rethrow();
         match self.pop(0) {
             Some(key) => {
@@ -373,24 +355,10 @@ impl<'t> Pool<'t> {
     }
 
     /// The current wake epoch. Snapshot it *before* checking for work:
-    /// `wait_epoch` returns immediately if any notification landed
-    /// after the snapshot, so the check-then-park pattern never misses
-    /// a wakeup.
-    pub fn epoch(&self) -> u64 {
+    /// `park` returns immediately if any notification landed after the
+    /// snapshot, so the check-then-park pattern never misses a wakeup.
+    fn epoch(&self) -> u64 {
         *lock(&self.epoch)
-    }
-
-    /// Parks the lead until the epoch advances past `seen` (a push, a
-    /// worker completion or a worker panic) or shutdown is flagged, then
-    /// re-raises a worker's panic if one happened.
-    pub fn wait_epoch(&self, seen: u64) {
-        self.park(seen);
-        self.rethrow();
-    }
-
-    /// Tasks this pool's lanes stole from each other's deques.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 
     /// The worker loop: run popped tasks until shutdown, parking when
@@ -418,21 +386,15 @@ impl<'t> Pool<'t> {
         }
     }
 
-    /// Pops `lane`'s own deque front, else steals another lane's back
-    /// (counted). The own-deque pop is its own statement so its guard
+    /// Pops `lane`'s own deque front, else steals another lane's back.
+    /// The own-deque pop is its own statement so its guard
     /// drops before a steal locks a neighbour's deque: holding both
     /// would let two idle lanes deadlock on each other's locks.
     fn pop(&self, lane: usize) -> Option<u64> {
         let own = lock(&self.deques[lane]).pop_front();
         own.or_else(|| {
             let width = self.deques.len();
-            (1..width).find_map(|k| {
-                let stolen = lock(&self.deques[(lane + k) % width]).pop_back();
-                if stolen.is_some() {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                stolen
-            })
+            (1..width).find_map(|k| lock(&self.deques[(lane + k) % width]).pop_back())
         })
     }
 
@@ -656,18 +618,28 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_wakes_the_waiting_lead() {
+    fn worker_panic_propagates_from_par_run() {
         let _g = guard();
-        // The lead waits for a completion the panicking worker never
-        // delivers; the panic must wake it and surface on it.
+        // Lane 0 keeps working until a worker lane has panicked, so the
+        // panic happens while the lead is still inside the scope; it
+        // must surface from `par_run` instead of being lost.
+        set_jobs(2);
+        set_pool_unclamped(true);
         let out = within(10, || {
-            Pool::scope(2, &|_| panic!("worker panicked"), |pool| -> () {
-                pool.push(0);
-                loop {
-                    pool.wait_epoch(pool.epoch());
+            let worker_started = AtomicBool::new(false);
+            par_run(8, |i| {
+                if current_lane() != Some(0) {
+                    worker_started.store(true, Ordering::Relaxed);
+                    panic!("worker panicked");
                 }
+                while !worker_started.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                i
             })
         });
+        set_pool_unclamped(false);
+        set_jobs(0);
         assert_eq!(out, Err(Some("worker panicked")));
     }
 
@@ -681,12 +653,9 @@ mod tests {
             }
             // The lead never helps, so the single worker must steal
             // every task dealt to lane 0.
-            let mut epoch = pool.epoch();
             while done.load(Ordering::Relaxed) < 100 {
-                pool.wait_epoch(epoch);
-                epoch = pool.epoch();
+                std::thread::yield_now();
             }
-            assert_eq!(pool.steals(), 50);
         });
         assert_eq!(done.load(Ordering::Relaxed), 100);
     }

@@ -18,7 +18,9 @@
 //! pruning): the bound is the max of the dependency-graph critical path
 //! (per-stream FIFO chains plus cross-stage dependencies) and each copy
 //! engine's total transfer time, both of which every simulated schedule
-//! must respect.
+//! must respect. The op DAG behind the critical path never depends on
+//! the plan, so it is built once per graph (`BoundDag`) on the first
+//! bound an arena computes — never by a plain simulation run.
 
 use crate::device_map::DeviceMap;
 use crate::engine::StreamKind;
@@ -62,6 +64,74 @@ pub(crate) struct Prebuilt {
     pub(crate) comm_seq: Vec<Vec<usize>>,
     /// op -> (stage, position) on its stage's compute sequence.
     pub(crate) seq_pos: Vec<Option<(usize, usize)>>,
+    /// The lower bound's op DAG, built on the first
+    /// [`SimArena::cost_profile`] over this graph. Simulation runs never
+    /// touch it, so a fresh arena that only simulates never pays for it.
+    dag: std::cell::OnceCell<BoundDag>,
+}
+
+/// The op dependency DAG of one graph in the form the critical-path pass
+/// walks: consecutive ops on one FIFO stream (compute/comm per stage)
+/// and the graph's cross-stage dependencies are edges, successor lists
+/// are stored flat, and `order` is the visit order of Kahn's algorithm.
+///
+/// None of it depends on the plan, so one build serves every bound. A
+/// node's start time is the `max` of its predecessors' finish times and
+/// `max` is exact in floating point, so a pass in this fixed order gives
+/// bit-for-bit the start times a per-call Kahn walk would.
+struct BoundDag {
+    /// Topological visit order (nodes on a cycle never appear).
+    order: Vec<usize>,
+    /// op -> `succ[succ_start[op]..succ_start[op + 1]]`.
+    succ_start: Vec<usize>,
+    succ: Vec<usize>,
+}
+
+impl BoundDag {
+    fn build(pre: &Prebuilt, graph: &TrainingGraph) -> Self {
+        let n_ops = pre.n_ops;
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
+        let mut indeg = vec![0u32; n_ops];
+        let mut chain = |seq: &[usize]| {
+            for w in seq.windows(2) {
+                succ[w[0]].push(w[1]);
+                indeg[w[1]] += 1;
+            }
+        };
+        for stage in 0..graph.n_stages() {
+            chain(&pre.compute_seq[stage]);
+            chain(&pre.comm_seq[stage]);
+        }
+        for &(a, b) in graph.cross_deps() {
+            succ[a.index()].push(b.index());
+            indeg[b.index()] += 1;
+        }
+        let mut order = Vec::with_capacity(n_ops);
+        let mut queue: Vec<usize> = (0..n_ops).filter(|&i| indeg[i] == 0).collect();
+        while let Some(u) = queue.pop() {
+            order.push(u);
+            for &v in &succ[u] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v);
+                }
+            }
+        }
+        let mut succ_start = Vec::with_capacity(n_ops + 1);
+        succ_start.push(0);
+        for s in &succ {
+            succ_start.push(succ_start[succ_start.len() - 1] + s.len());
+        }
+        BoundDag {
+            order,
+            succ_start,
+            succ: succ.concat(),
+        }
+    }
+
+    fn successors(&self, op: usize) -> &[usize] {
+        &self.succ[self.succ_start[op]..self.succ_start[op + 1]]
+    }
 }
 
 /// Cheap content fingerprint of a graph: shape plus every op duration.
@@ -211,6 +281,7 @@ impl Prebuilt {
             compute_seq,
             comm_seq,
             seq_pos,
+            dag: std::cell::OnceCell::new(),
         }
     }
 }
@@ -305,6 +376,29 @@ pub(crate) struct Buffers {
 pub struct SimArena {
     prebuilt: Option<Prebuilt>,
     buffers: Buffers,
+    bound: BoundScratch,
+}
+
+/// The tables in `slot` for `graph`, rebuilt when the graph changed.
+/// A free function so callers can keep borrowing the arena's other
+/// fields alongside the tables.
+fn tables_for<'a>(slot: &'a mut Option<Prebuilt>, graph: &TrainingGraph) -> &'a Prebuilt {
+    let fp = fingerprint(graph);
+    if slot.as_ref().is_some_and(|p| p.fingerprint != fp) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(|| Prebuilt::build(graph, fp))
+}
+
+/// Recycled per-call buffers of [`SimArena::cost_profile`].
+#[derive(Default)]
+struct BoundScratch {
+    /// tensor -> whether the plan recomputes it.
+    recompute: Vec<bool>,
+    /// op -> recomputation-folded duration.
+    dur: Vec<Secs>,
+    /// op -> earliest start on the critical-path pass.
+    start: Vec<Secs>,
 }
 
 impl std::fmt::Debug for SimArena {
@@ -326,12 +420,12 @@ impl std::fmt::Debug for SimArena {
 #[derive(Debug, Default, Clone)]
 pub struct ArenaPool {
     free: std::sync::Arc<std::sync::Mutex<Vec<SimArena>>>,
-    /// Lane-affine slots: every lane of a `mpress_par::Pool` scope —
-    /// the caller as lane 0 (a `par_run` caller too) and each worker
-    /// thread — carries a stable lane id (`mpress_par::current_lane`),
-    /// and a lane that keeps checking out *the same* arena keeps its
-    /// graph tables and task buffers cache-warm across speculative
-    /// emulations. Slots are
+    /// Lane-affine slots: every lane of a parallel section — the
+    /// `par_run` caller as lane 0 and each worker thread — carries a
+    /// stable lane id (`mpress_par::current_lane`), and a lane that
+    /// keeps checking out *the same* arena keeps its graph tables, bound
+    /// DAG and task buffers cache-warm across the emulations of one
+    /// portfolio variant's serial frontier. Slots are
     /// `try_lock`ed — when two concurrent searches collide on a lane id
     /// the loser silently falls back to the free list, so affinity is
     /// purely a wall-clock optimization.
@@ -406,10 +500,7 @@ impl SimArena {
 
     /// Makes sure the cached tables match `graph`, rebuilding on change.
     pub(crate) fn ensure(&mut self, graph: &TrainingGraph) {
-        let fp = fingerprint(graph);
-        if self.prebuilt.as_ref().map(|p| p.fingerprint) != Some(fp) {
-            self.prebuilt = Some(Prebuilt::build(graph, fp));
-        }
+        tables_for(&mut self.prebuilt, graph);
     }
 
     pub(crate) fn prebuilt(&self) -> &Prebuilt {
@@ -474,57 +565,42 @@ impl SimArena {
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
     ) -> CostProfile {
-        self.ensure(graph);
-        let pre = self.prebuilt();
-        let n_ops = pre.n_ops;
+        let pre = tables_for(&mut self.prebuilt, graph);
+        let dag = pre.dag.get_or_init(|| BoundDag::build(pre, graph));
+        let BoundScratch {
+            recompute,
+            dur,
+            start,
+        } = &mut self.bound;
 
-        let mut directive: Vec<Option<&MemoryDirective>> = vec![None; pre.n_tensors];
+        recompute.clear();
+        recompute.resize(pre.n_tensors, false);
         for (t, d) in plan.iter() {
-            directive[t.index()] = Some(d);
+            recompute[t.index()] = matches!(d, MemoryDirective::Recompute);
         }
 
         // Folded durations — identical rule to the engine's task build.
-        let mut dur = pre.op_duration.clone();
-        #[allow(clippy::needless_range_loop)]
-        for idx in 0..n_ops {
-            for &r in &pre.op_reads[idx] {
-                if matches!(directive[r], Some(MemoryDirective::Recompute)) {
-                    dur[idx] += pre.recompute_cost[r];
+        dur.clear();
+        dur.extend_from_slice(&pre.op_duration);
+        for (d, reads) in dur.iter_mut().zip(&pre.op_reads) {
+            for &r in reads {
+                if recompute[r] {
+                    *d += pre.recompute_cost[r];
                 }
             }
         }
         let op_total: Secs = dur.iter().sum();
 
-        // DAG longest path via Kahn's algorithm over chain + cross edges.
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
-        let mut indeg = vec![0u32; n_ops];
-        let mut chain = |seq: &[usize]| {
-            for w in seq.windows(2) {
-                succ[w[0]].push(w[1]);
-                indeg[w[1]] += 1;
-            }
-        };
-        for stage in 0..graph.n_stages() {
-            chain(&pre.compute_seq[stage]);
-            chain(&pre.comm_seq[stage]);
-        }
-        for &(a, b) in graph.cross_deps() {
-            succ[a.index()].push(b.index());
-            indeg[b.index()] += 1;
-        }
-        let mut start = vec![0.0_f64; n_ops];
-        let mut queue: Vec<usize> = (0..n_ops).filter(|&i| indeg[i] == 0).collect();
+        // DAG longest path: one pass in the prebuilt topological order.
+        start.clear();
+        start.resize(pre.n_ops, 0.0);
         let mut critical_path = 0.0_f64;
-        while let Some(u) = queue.pop() {
+        for &u in &dag.order {
             let finish = start[u] + dur[u];
             critical_path = critical_path.max(finish);
-            for &v in &succ[u] {
+            for &v in dag.successors(u) {
                 if finish > start[v] {
                     start[v] = finish;
-                }
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
                 }
             }
         }
@@ -588,7 +664,7 @@ impl SimArena {
         CostProfile {
             makespan_lo: critical_path.max(copy_bound),
             total_task_time: op_total + leg_total,
-            n_tasks: n_ops + n_legs,
+            n_tasks: pre.n_ops + n_legs,
             n_tensors: pre.n_tensors,
             max_evict_leg,
         }
@@ -648,5 +724,83 @@ impl Fnv {
 
     pub(crate) fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpress_graph::TensorId;
+    use mpress_model::{ModelFamily, PrecisionPolicy, TransformerConfig};
+    use mpress_pipeline::{PipelineJob, ScheduleKind};
+
+    fn lowered(layers: usize, stages: usize) -> TrainingGraph {
+        PipelineJob::builder()
+            .model(
+                TransformerConfig::builder(ModelFamily::Gpt)
+                    .layers(layers)
+                    .hidden(512)
+                    .seq_len(256)
+                    .build(),
+            )
+            .machine(Machine::dgx1())
+            .schedule(ScheduleKind::Dapple)
+            .stages(stages)
+            .microbatch_size(2)
+            .microbatches(6)
+            .precision(PrecisionPolicy::mixed())
+            .build()
+            .unwrap()
+            .lower()
+            .unwrap()
+            .graph
+    }
+
+    /// Recomputes every third tensor and swaps every fifth to the host,
+    /// so the bound exercises duration folds and copy legs alike.
+    fn plan_for(graph: &TrainingGraph) -> InstrumentationPlan {
+        let mut plan = InstrumentationPlan::new();
+        for i in 0..graph.tensors().len() {
+            let t = TensorId(i as u32);
+            if i % 3 == 0 {
+                plan.assign(t, MemoryDirective::Recompute);
+            } else if i % 5 == 0 {
+                plan.assign(t, MemoryDirective::SwapToHost(HostTier::Dram));
+            }
+        }
+        plan
+    }
+
+    fn bits(p: &CostProfile) -> (u64, u64, usize, usize, u64) {
+        (
+            p.makespan_lo.to_bits(),
+            p.total_task_time.to_bits(),
+            p.n_tasks,
+            p.n_tensors,
+            p.max_evict_leg.to_bits(),
+        )
+    }
+
+    #[test]
+    fn reused_arena_never_bounds_with_a_stale_dag() {
+        // One arena alternates between two graphs, so every call after
+        // the first rebuilds the tables; each profile must match a fresh
+        // arena's bit for bit.
+        let machine = Machine::dgx1();
+        let a = lowered(8, 4);
+        let b = lowered(12, 6);
+        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
+        let (plan_a, plan_b) = (plan_for(&a), plan_for(&b));
+        let (map_a, map_b) = (DeviceMap::identity(4), DeviceMap::identity(6));
+        let mut reused = SimArena::new();
+        for (graph, plan, map) in [(&a, &plan_a, &map_a), (&b, &plan_b, &map_b)]
+            .into_iter()
+            .cycle()
+            .take(3)
+        {
+            let fresh = SimArena::new().cost_profile(&machine, graph, plan, map);
+            let got = reused.cost_profile(&machine, graph, plan, map);
+            assert_eq!(bits(&got), bits(&fresh));
+        }
     }
 }

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, test suite, lint,
 # high-worker-count determinism, the telemetry JSON contract, the
-# certified-bounds soundness oracle, and the planner/emulator/search/
+# certified-bounds soundness oracle, and the planner/emulator/
 # service smoke-runs (write BENCH_planner.json, BENCH_sim.json,
-# BENCH_search.json, BENCH_serve.json and BENCH_bounds.json at the repo
-# root).
+# BENCH_serve.json and BENCH_bounds.json at the repo root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,22 +69,6 @@ echo "== emulator fast-path smoke-run =="
 # so this only catches order-of-magnitude regressions.
 min_eps=$(awk -F'"emulations_per_sec": ' '{split($2, a, ","); printf "%.0f", a[1] * 0.3}' BENCH_sim.json)
 ./target/release/exp_bench_sim --out BENCH_sim.json --min-eps "${min_eps:-0}"
-
-echo "== speculative search scaling (exp_bench_search) =="
-# Plans the widened explore grid at jobs=1 and jobs=8 (pool clamp
-# lifted, so the wide run oversubscribes even this box) and exits
-# nonzero if the two plans differ. The JSON must round-trip, stealing
-# and the bound-abort path must both have fired, and on hosts with >= 8
-# cores the wide wall must come in at <= 0.6x the jobs=1 wall. The
-# scaling gate is conditional: the 1-core reference container cannot
-# demonstrate parallel speedup, so the binary records
-# "skipped: N cores" there and only an explicit "fail" is an error.
-./target/release/exp_bench_search --out BENCH_search.json
-./target/release/json_roundtrip_check < BENCH_search.json
-grep -q '"deterministic": true' BENCH_search.json
-grep -q '"steals": 0,' BENCH_search.json && { echo "error: no steals recorded"; exit 1; }
-grep -q '"bound_aborts": 0,' BENCH_search.json && { echo "error: no bound aborts recorded"; exit 1; }
-grep -q '"scaling_gate": "fail"' BENCH_search.json && { echo "error: jobs=8 wall exceeded 0.6x jobs=1"; exit 1; }
 
 echo "== planning-service smoke-run (mpress-serve) =="
 # Boot the daemon through the real CLI entry point, then drive it with
