@@ -1238,20 +1238,14 @@ impl<'a> Planner<'a> {
         budgets: &[Vec<(DeviceId, u32, Bytes)>],
         device_map: &DeviceMap,
     ) -> Result<InstrumentationPlan, SimError> {
-        let mut plan = InstrumentationPlan::new();
-        for (i, class) in classes.iter().enumerate() {
-            match choice[i] {
-                Choice::None => {}
-                Choice::Recompute { .. } => {
-                    for &t in &class.instances {
-                        plan.assign(t, MemoryDirective::Recompute);
-                    }
-                }
-                Choice::HostSwap { tier, .. } => {
-                    for &t in &class.instances {
-                        plan.assign(t, MemoryDirective::SwapToHost(tier));
-                    }
-                }
+        // Collected, then bulk-built: the plan's map keeps the last
+        // directive of a repeated tensor, as repeated `assign` would.
+        let mut directives = Vec::new();
+        for (class, &chosen) in classes.iter().zip(choice) {
+            let directive = match chosen {
+                Choice::None => continue,
+                Choice::Recompute { .. } => MemoryDirective::Recompute,
+                Choice::HostSwap { tier, .. } => MemoryDirective::SwapToHost(tier),
                 Choice::D2d => {
                     let stripe = self
                         .stripe_over(class.bytes_per_instance, &budgets[class.stage])
@@ -1264,13 +1258,12 @@ impl<'a> Planner<'a> {
                     stripe
                         .validate(device_map.device_of(class.stage), self.machine.topology())
                         .map_err(SimError::BadPlan)?;
-                    for &t in &class.instances {
-                        plan.assign(t, MemoryDirective::SwapD2d(stripe.clone()));
-                    }
+                    MemoryDirective::SwapD2d(stripe)
                 }
-            }
+            };
+            directives.extend(class.instances.iter().map(|&t| (t, directive.clone())));
         }
-        Ok(plan)
+        Ok(directives.into_iter().collect())
     }
 
     /// Builds the stripe layout for one instance over a stage's donors.

@@ -176,7 +176,7 @@ impl Mpress {
     /// outcomes in a [`PlanCache`] (planner configuration deliberately
     /// excluded — outcomes do not depend on it).
     pub fn job_scope(&self, lowered: &LoweredJob) -> u64 {
-        let mut h = fnv_u64(FNV_SEED, mpress_sim::graph_fingerprint(&lowered.graph));
+        let mut h = fnv_u64(FNV_SEED, lowered.graph.fingerprint());
         h = fnv_str(h, self.machine().name());
         h = fnv_u64(h, self.machine().gpu_count() as u64);
         h = fnv_u64(h, self.machine().gpu().usable_memory().as_u64());

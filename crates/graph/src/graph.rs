@@ -81,6 +81,9 @@ pub struct TrainingGraph {
     stage_programs: Vec<Vec<OpId>>,
     cross_deps: Vec<(OpId, OpId)>,
     n_stages: usize,
+    /// Computed once by [`TrainingGraphBuilder::build`]; every other
+    /// field is private and never mutated, so it cannot go stale.
+    fingerprint: u64,
 }
 
 impl TrainingGraph {
@@ -98,6 +101,15 @@ impl TrainingGraph {
     /// Number of pipeline stages.
     pub fn n_stages(&self) -> usize {
         self.n_stages
+    }
+
+    /// Cheap content fingerprint: FNV-1a over the op, tensor, stage and
+    /// dependency counts, then every op duration and every tensor size.
+    /// Collisions would need two *different* graphs with identical
+    /// counts, durations and sizes. Simulator arenas key their prebuilt
+    /// tables on it and cross-run caches scope their keys by it.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// All tensors.
@@ -338,12 +350,24 @@ impl TrainingGraphBuilder {
                 written[t.id.index()] = true; // pre-resident model data
             }
         }
+        let fingerprint = fnv1a(
+            [
+                n_ops as u64,
+                n_tensors as u64,
+                self.n_stages as u64,
+                self.cross_deps.len() as u64,
+            ]
+            .into_iter()
+            .chain(self.ops.iter().map(|op| op.duration.to_bits()))
+            .chain(self.tensors.iter().map(|t| t.bytes.as_u64())),
+        );
         let graph = TrainingGraph {
             tensors: self.tensors,
             ops: self.ops,
             stage_programs: self.stage_programs,
             cross_deps: self.cross_deps,
             n_stages: self.n_stages,
+            fingerprint,
         };
         let order = graph.topo_order()?;
         for id in &order {
@@ -361,16 +385,35 @@ impl TrainingGraphBuilder {
     }
 }
 
+/// FNV-1a (64-bit) over the little-endian bytes of `words`. Std-only
+/// and stable across releases, unlike `DefaultHasher`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn two_stage_graph() -> TrainingGraph {
+        two_stage_graph_with(0.01, Bytes::mib(4))
+    }
+
+    /// The two-stage graph with the first forward op's duration and the
+    /// stage-1 activation's size as parameters.
+    fn two_stage_graph_with(f0_duration: Secs, a1_bytes: Bytes) -> TrainingGraph {
         let mut b = TrainingGraph::builder(2);
         let a0 = b.add_tensor(TensorKind::Activation, Bytes::mib(4), 0, Some(0), Some(0));
         let bd = b.add_tensor(TensorKind::Boundary, Bytes::mib(1), 0, None, Some(0));
-        let a1 = b.add_tensor(TensorKind::Activation, Bytes::mib(4), 1, Some(1), Some(0));
-        let f0 = b.add_op(OpKind::Forward, 0, Some(0), 0.01, |op| {
+        let a1 = b.add_tensor(TensorKind::Activation, a1_bytes, 1, Some(1), Some(0));
+        let f0 = b.add_op(OpKind::Forward, 0, Some(0), f0_duration, |op| {
             op.writes.extend([a0, bd]);
         });
         let f1 = b.add_op(OpKind::Forward, 1, Some(0), 0.01, |op| {
@@ -388,6 +431,21 @@ mod tests {
         b.add_dep(f0, f1);
         b.add_dep(b1, b0);
         b.build().expect("valid graph")
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_and_tracks_content() {
+        // The value the simulator's own fingerprint function returned for
+        // this graph before the graph stored it: arenas and plan-cache
+        // scopes keyed by it keep their identity.
+        let g = two_stage_graph();
+        assert_eq!(g.fingerprint(), 0x01b0_8a06_bb02_1072);
+        assert_eq!(g.clone().fingerprint(), g.fingerprint());
+        let slower = two_stage_graph_with(0.011, Bytes::mib(4));
+        let bigger = two_stage_graph_with(0.01, Bytes::mib(5));
+        assert_ne!(slower.fingerprint(), g.fingerprint());
+        assert_ne!(bigger.fingerprint(), g.fingerprint());
+        assert_ne!(slower.fingerprint(), bigger.fingerprint());
     }
 
     #[test]

@@ -9,11 +9,16 @@ use mpress_obs::MetricsRecorder;
 use serde::Serialize as _;
 use serde_json::Value;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
+
+/// Longest request line the daemon reads, newline excluded. Fixed, not
+/// a knob: a request envelope is a few hundred bytes, and the cap only
+/// stops one client from making the daemon buffer without limit.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration, with builder-style setters.
 ///
@@ -242,7 +247,7 @@ fn run_batcher(shared: &Shared) {
             }
         }
         let dedup_hits = (batch.len() - uniques.len()) as u64;
-        let results = mpress_par::par_map(&uniques, |(_, req)| execute(req, &shared.ctx));
+        let results = mpress_par::par_map(&uniques, |(_, req)| execute_caught(req, &shared.ctx));
         shared.record(|m| {
             m.inc("serve.batches");
             m.observe("serve.batch_size", batch.len() as f64);
@@ -252,6 +257,84 @@ fn run_batcher(shared: &Shared) {
             let _ = job.reply.send(encode_response_line(job.id, &results[slot]));
         }
     }
+}
+
+/// Model name that makes [`execute_caught`] panic, so unit tests can
+/// check that a panicking request is answered and the batcher survives.
+#[cfg(test)]
+const PANIC_MODEL: &str = "test-panic";
+
+/// Runs one request, answering a panic with an `internal` error so a
+/// bad request cannot take the batcher, and every later wave, down
+/// with it.
+fn execute_caught(req: &Request, ctx: &ApiContext) -> Result<Response, ServeError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if matches!(req, Request::Plan(r) if r.model == PANIC_MODEL) {
+            panic!("injected panic for {PANIC_MODEL}");
+        }
+        execute(req, ctx)
+    }))
+    .unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(ServeError::Internal(format!("request panicked: {what}")))
+    })
+}
+
+/// One request line as [`read_line_capped`] leaves it in the buffer.
+enum Line {
+    /// A whole line, newline stripped.
+    Complete,
+    /// Longer than [`MAX_LINE_BYTES`]: consumed through its newline and
+    /// dropped; the buffer is empty.
+    TooLong,
+}
+
+/// Reads the next line into `buf` (cleared first) without buffering
+/// more than [`MAX_LINE_BYTES`] of it. `None` at end of stream.
+fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<Line>> {
+    buf.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(Some(Line::Complete));
+    }
+    if n <= MAX_LINE_BYTES {
+        return Ok(Some(Line::Complete)); // last line, no newline
+    }
+    // Over the cap: discard the rest of the line, then release the
+    // oversized buffer.
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            break;
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                break;
+            }
+            None => {
+                let len = chunk.len();
+                reader.consume(len);
+            }
+        }
+    }
+    *buf = Vec::new();
+    Ok(Some(Line::TooLong))
 }
 
 /// The `stats` response body: service counters plus cache statistics.
@@ -275,7 +358,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let (tx, rx) = mpsc::channel::<String>();
     let writer = thread::spawn(move || {
         let mut stream = stream;
@@ -287,12 +370,24 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         }
         let _ = stream.shutdown(Shutdown::Both);
     });
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (id, decoded) = decode_request_line(&line);
+    let mut buf = Vec::new();
+    while let Ok(Some(line)) = read_line_capped(&mut reader, &mut buf) {
+        let (id, decoded) = match line {
+            Line::TooLong => (
+                0,
+                Err(ServeError::BadRequest(format!(
+                    "request line exceeds {MAX_LINE_BYTES} bytes"
+                ))),
+            ),
+            Line::Complete => match std::str::from_utf8(&buf) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => decode_request_line(text),
+                Err(_) => (
+                    0,
+                    Err(ServeError::Protocol("request line is not UTF-8".to_owned())),
+                ),
+            },
+        };
         match decoded {
             Err(e) => {
                 shared.record(|m| m.inc(&format!("serve.request_errors.{}", e.code())));
@@ -341,4 +436,92 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
     drop(tx);
     let _ = writer.join();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use mpress_api::PlanRequest;
+
+    fn plan(model: &str) -> Request {
+        Request::Plan(PlanRequest::new(model).microbatches(4))
+    }
+
+    /// Runs `f` on its own thread and fails the test if it does not
+    /// finish in 60 s: a daemon that stops answering hangs the client.
+    fn within(f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => worker.join().expect("test body"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("body panicked"))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("daemon stopped answering"),
+        }
+    }
+
+    #[test]
+    fn panicking_request_is_answered_and_the_batcher_survives() {
+        within(panicking_request_body);
+    }
+
+    fn panicking_request_body() {
+        let mut server = start(ServeConfig::default()).expect("binds");
+        let mut client = Client::connect(server.addr()).expect("connects");
+        let panicked = client.send(&plan(PANIC_MODEL)).expect("sends");
+        let answer = client.recv().expect("the panicking request is answered");
+        assert_eq!(answer.id, panicked);
+        match answer.result {
+            Err(ServeError::Internal(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        // Exactly one line: the next one on the connection answers the
+        // next request.
+        let planned = client.request(&plan("bert-0.35b")).expect("later plan");
+        assert!(planned.result.is_ok(), "{:?}", planned.result);
+        let stats = client.request(&Request::Stats).expect("stats");
+        assert!(stats.result.is_ok(), "{:?}", stats.result);
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_long_line_is_rejected_and_the_connection_keeps_serving() {
+        within(over_long_line_body);
+    }
+
+    fn over_long_line_body() {
+        let mut server = start(ServeConfig::default()).expect("binds");
+        let mut client = Client::connect(server.addr()).expect("connects");
+        client.send_raw(&"x".repeat(2 << 20)).expect("sends 2 MiB");
+        let rejected = client.recv().expect("the long line is answered");
+        assert_eq!(rejected.id, 0);
+        match rejected.result {
+            Err(e) => assert_eq!(e.code(), "bad_request", "{e}"),
+            Ok(ok) => panic!("expected bad_request, got {ok:?}"),
+        }
+        let stats = client.request(&Request::Stats).expect("stats after it");
+        assert!(stats.result.is_ok(), "{:?}", stats.result);
+        server.shutdown();
+    }
+
+    #[test]
+    fn capped_reader_keeps_lines_up_to_the_cap() {
+        let at_cap = "y".repeat(MAX_LINE_BYTES);
+        let input = format!("{at_cap}\n{at_cap}z\r\nshort\r\nlast");
+        let mut reader = std::io::Cursor::new(input.into_bytes());
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(line) = read_line_capped(&mut reader, &mut buf).expect("reads") {
+            lines.push(match line {
+                Line::Complete => String::from_utf8(buf.clone()).expect("utf-8"),
+                Line::TooLong => "<too long>".to_owned(),
+            });
+        }
+        assert_eq!(lines, [at_cap.as_str(), "<too long>", "short", "last"]);
+    }
 }

@@ -134,36 +134,8 @@ impl BoundDag {
     }
 }
 
-/// Cheap content fingerprint of a graph: shape plus every op duration.
-/// Collisions would need two *different* graphs with identical op count,
-/// tensor count, stage count, dependency count and duration sequence —
-/// and even then the damage is bounded to reusing equivalent tables.
-///
-/// Public so cross-run caches (the planner's process-global `PlanCache`)
-/// can scope their keys to the graph content they were computed for.
-pub fn graph_fingerprint(graph: &TrainingGraph) -> u64 {
-    fingerprint(graph)
-}
-
-/// Private implementation of [`graph_fingerprint`]; also keys
-/// [`Prebuilt`] table reuse inside [`SimArena`].
-fn fingerprint(graph: &TrainingGraph) -> u64 {
-    let mut h = Fnv::new();
-    h.write(graph.ops().len() as u64);
-    h.write(graph.tensors().len() as u64);
-    h.write(graph.n_stages() as u64);
-    h.write(graph.cross_deps().len() as u64);
-    for op in graph.ops() {
-        h.write(op.duration.to_bits());
-    }
-    for t in graph.tensors() {
-        h.write(t.bytes.as_u64());
-    }
-    h.finish()
-}
-
 impl Prebuilt {
-    fn build(graph: &TrainingGraph, fingerprint: u64) -> Self {
+    fn build(graph: &TrainingGraph) -> Self {
         let n_ops = graph.ops().len();
         let n_tensors = graph.tensors().len();
 
@@ -252,7 +224,7 @@ impl Prebuilt {
         }
 
         Prebuilt {
-            fingerprint,
+            fingerprint: graph.fingerprint(),
             n_ops,
             n_tensors,
             bytes,
@@ -286,35 +258,45 @@ impl Prebuilt {
     }
 }
 
-/// An indexed set of dependency-ready task ids, stored as a bitset:
-/// O(1) insert/remove on the hot path (every task enters and leaves the
-/// set once), with ascending-order iteration via word scans for the
-/// quiescent blocked search — the same visit order as scanning all
-/// tasks by id, at a fraction of the cost.
+/// A set of small dense ids (task ids, stream ids) stored as a bitset:
+/// O(1) insert/remove on the hot path, with ascending-order iteration
+/// via word scans — the same visit order as testing every id in turn,
+/// at a fraction of the cost. The engine keeps its dependency-ready
+/// tasks and its dirty streams in one each.
 #[derive(Default)]
-pub(crate) struct ReadySet {
+pub(crate) struct BitSet {
     words: Vec<u64>,
 }
 
-impl ReadySet {
-    /// Empties the set and reserves room for `n` task ids.
+impl BitSet {
+    /// Empties the set and reserves room for ids below `n`.
     pub(crate) fn clear_resize(&mut self, n: usize) {
         self.words.clear();
         self.words.resize(n.div_ceil(64), 0);
     }
 
-    pub(crate) fn insert(&mut self, tid: usize) {
-        let w = tid / 64;
+    /// Makes the set exactly `0..n`.
+    pub(crate) fn fill(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n / 64, u64::MAX);
+        let rest = n % 64;
+        if rest > 0 {
+            self.words.push((1 << rest) - 1);
+        }
+    }
+
+    pub(crate) fn insert(&mut self, id: usize) {
+        let w = id / 64;
         if w >= self.words.len() {
             // Evictions append tasks past the build-time count.
             self.words.resize(w + 1, 0);
         }
-        self.words[w] |= 1 << (tid % 64);
+        self.words[w] |= 1 << (id % 64);
     }
 
-    pub(crate) fn remove(&mut self, tid: usize) {
-        if let Some(word) = self.words.get_mut(tid / 64) {
-            *word &= !(1 << (tid % 64));
+    pub(crate) fn remove(&mut self, id: usize) {
+        if let Some(word) = self.words.get_mut(id / 64) {
+            *word &= !(1 << (id % 64));
         }
     }
 
@@ -342,8 +324,8 @@ impl ReadySet {
 pub(crate) struct Buffers {
     pub(crate) tasks: Vec<crate::engine::Task>,
     pub(crate) streams: Vec<crate::engine::Stream>,
-    pub(crate) dirty: Vec<bool>,
-    pub(crate) ready_set: ReadySet,
+    pub(crate) dirty: BitSet,
+    pub(crate) ready_set: BitSet,
     pub(crate) heap: std::collections::BinaryHeap<std::cmp::Reverse<crate::engine::CompletionKey>>,
     pub(crate) residency: Vec<crate::engine::Loc>,
     pub(crate) triggers: Vec<Vec<usize>>,
@@ -383,11 +365,13 @@ pub struct SimArena {
 /// A free function so callers can keep borrowing the arena's other
 /// fields alongside the tables.
 fn tables_for<'a>(slot: &'a mut Option<Prebuilt>, graph: &TrainingGraph) -> &'a Prebuilt {
-    let fp = fingerprint(graph);
-    if slot.as_ref().is_some_and(|p| p.fingerprint != fp) {
+    if slot
+        .as_ref()
+        .is_some_and(|p| p.fingerprint != graph.fingerprint())
+    {
         *slot = None;
     }
-    slot.get_or_insert_with(|| Prebuilt::build(graph, fp))
+    slot.get_or_insert_with(|| Prebuilt::build(graph))
 }
 
 /// Recycled per-call buffers of [`SimArena::cost_profile`].
@@ -706,31 +690,11 @@ impl CostProfile {
     }
 }
 
-/// Minimal FNV-1a 64-bit hasher (std-only; `DefaultHasher` is not
-/// guaranteed stable across releases and this hash feeds fingerprints).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpress_graph::TensorId;
+    use crate::Simulator;
+    use mpress_graph::{TensorId, TensorKind};
     use mpress_model::{ModelFamily, PrecisionPolicy, TransformerConfig};
     use mpress_pipeline::{PipelineJob, ScheduleKind};
 
@@ -781,6 +745,84 @@ mod tests {
         )
     }
 
+    /// Two stages, one microbatch, a forward and a backward op on each.
+    /// Every op duration is multiplied by `scale`, so every scale gives
+    /// the same shape and tensor sizes.
+    fn chain(scale: f64) -> TrainingGraph {
+        let mut b = TrainingGraph::builder(2);
+        let a0 = b.add_tensor(TensorKind::Activation, Bytes::mib(64), 0, Some(0), Some(0));
+        let w0 = b.add_tensor(TensorKind::Parameter, Bytes::mib(32), 0, Some(0), None);
+        let bd = b.add_tensor(TensorKind::Boundary, Bytes::mib(8), 0, None, Some(0));
+        let a1 = b.add_tensor(TensorKind::Activation, Bytes::mib(64), 1, Some(1), Some(0));
+        let f0 = b.add_op(OpKind::Forward, 0, Some(0), 0.010 * scale, |op| {
+            op.reads.push(w0);
+            op.writes.extend([a0, bd]);
+        });
+        let f1 = b.add_op(OpKind::Forward, 1, Some(0), 0.012 * scale, |op| {
+            op.reads.push(bd);
+            op.writes.push(a1);
+        });
+        let b1 = b.add_op(OpKind::Backward, 1, Some(0), 0.024 * scale, |op| {
+            op.reads.push(a1);
+            op.frees.push(a1);
+        });
+        let b0 = b.add_op(OpKind::Backward, 0, Some(0), 0.020 * scale, |op| {
+            op.reads.extend([a0, w0]);
+            op.frees.extend([a0, bd]);
+        });
+        b.add_dep(f0, f1);
+        b.add_dep(b1, b0);
+        b.build().expect("valid graph")
+    }
+
+    #[test]
+    fn same_shape_graphs_with_different_durations_get_their_own_tables() {
+        // The arena keys its tables by content, not shape: alternating
+        // between two graphs that differ only in op durations must give
+        // each its own bounds and simulations.
+        let machine = Machine::dgx1();
+        let (fast, slow) = (chain(1.0), chain(3.0));
+        assert_ne!(fast.fingerprint(), slow.fingerprint());
+        let map = DeviceMap::identity(2);
+        let mut reused = SimArena::new();
+        // Recompute the stage-0 activation, swap the weight to the host.
+        let plan: InstrumentationPlan = [
+            (TensorId(0), MemoryDirective::Recompute),
+            (TensorId(1), MemoryDirective::SwapToHost(HostTier::Dram)),
+        ]
+        .into_iter()
+        .collect();
+        let mut lows = Vec::new();
+        for graph in [&fast, &slow, &fast, &slow] {
+            let fresh = SimArena::new().cost_profile(&machine, graph, &plan, &map);
+            let got = reused.cost_profile(&machine, graph, &plan, &map);
+            assert_eq!(bits(&got), bits(&fresh));
+            lows.push(got.makespan_lo);
+            let sim = Simulator::new(&machine, graph, &plan, map.clone());
+            let run = |arena: &mut SimArena| sim.run_in(arena).expect("runs").makespan;
+            assert_eq!(
+                run(&mut reused).to_bits(),
+                run(&mut SimArena::new()).to_bits()
+            );
+        }
+        assert!(lows[1] > lows[0], "{lows:?}");
+    }
+
+    #[test]
+    fn bit_set_fill_holds_exactly_the_prefix() {
+        let mut set = BitSet::default();
+        for n in [0, 1, 63, 64, 65, 130] {
+            set.fill(n);
+            let mut members = Vec::new();
+            let mut next = set.next_at_or_after(0);
+            while let Some(id) = next {
+                members.push(id);
+                next = set.next_at_or_after(id + 1);
+            }
+            assert_eq!(members, (0..n).collect::<Vec<_>>());
+        }
+    }
+
     #[test]
     fn reused_arena_never_bounds_with_a_stale_dag() {
         // One arena alternates between two graphs, so every call after
@@ -789,7 +831,7 @@ mod tests {
         let machine = Machine::dgx1();
         let a = lowered(8, 4);
         let b = lowered(12, 6);
-        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
+        assert_ne!(a.fingerprint(), b.fingerprint());
         let (plan_a, plan_b) = (plan_for(&a), plan_for(&b));
         let (map_a, map_b) = (DeviceMap::identity(4), DeviceMap::identity(6));
         let mut reused = SimArena::new();

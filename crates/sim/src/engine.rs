@@ -10,11 +10,14 @@
 //! The scheduler is event-driven: a dirty-stream work-list wakes only
 //! the streams whose state could have changed (dependency resolutions,
 //! memory releases, admission-cursor advances), and an indexed ready-set
-//! replaces the O(n_tasks) quiescent blocked scan. The original
-//! full-scan loop is retained behind [`SimConfig::reference_scan`] so
-//! the equivalence of both paths stays testable.
+//! replaces the O(n_tasks) quiescent blocked scan. Both are bitsets
+//! visited in ascending id order, so a start pass finds the next dirty
+//! stream with a word scan instead of testing every stream's flag. The
+//! original full-scan loop is retained behind
+//! [`SimConfig::reference_scan`] so the equivalence of both paths stays
+//! testable.
 
-use crate::arena::{Buffers, Prebuilt, SimArena};
+use crate::arena::{BitSet, Buffers, Prebuilt, SimArena};
 use crate::device_map::DeviceMap;
 use crate::memory::MemoryTracker;
 use crate::metrics::{DeviceMetrics, LinkMetrics, SimMetrics, StreamBusy};
@@ -697,13 +700,14 @@ struct EngineState<'p> {
     tasks: Vec<Task>,
     /// Flat stream table indexed by [`sid`].
     streams: Vec<Stream>,
-    /// Work-list flags: streams whose scheduling state may have changed
-    /// since they were last visited. The fast start-pass skips clean
-    /// streams; every event that could enable a start marks one.
-    dirty: Vec<bool>,
+    /// Work-list: streams whose scheduling state may have changed since
+    /// they were last visited. The fast start-pass visits only these,
+    /// in ascending id order; every event that could enable a start
+    /// marks one.
+    dirty: BitSet,
     /// Every task with `is_ready()` true, ordered by task id — the
     /// indexed replacement for the quiescent full-task blocked scan.
-    ready_set: crate::arena::ReadySet,
+    ready_set: BitSet,
     heap: BinaryHeap<Reverse<CompletionKey>>,
     clock: Secs,
     memory: MemoryTracker,
@@ -910,8 +914,7 @@ impl<'p> EngineState<'p> {
             }
         }
         let mut dirty = std::mem::take(&mut bufs.dirty);
-        dirty.clear();
-        dirty.resize(n_sids, true);
+        dirty.fill(n_sids);
         let mut heap = std::mem::take(&mut bufs.heap);
         heap.clear();
 
@@ -1075,32 +1078,41 @@ impl<'p> EngineState<'p> {
     fn start_pass(&mut self) {
         loop {
             let mut progress = false;
-            for s in 0..self.streams.len() {
-                if !self.reference_scan {
-                    if !self.dirty[s] {
-                        continue;
-                    }
-                    self.dirty[s] = false;
-                }
-                if self.streams[s].busy {
-                    continue;
-                }
+            let mut next = self.next_stream(0);
+            while let Some(s) = next {
                 // Start immediately so this task's allocations are
                 // visible to the next stream's memory-fit check.
-                if let Some(tid) = self.pick_startable(s) {
-                    let stream = &mut self.streams[s];
-                    stream.busy = true;
-                    if stream.fifo {
-                        stream.cursor += 1;
+                if !self.streams[s].busy {
+                    if let Some(tid) = self.pick_startable(s) {
+                        let stream = &mut self.streams[s];
+                        stream.busy = true;
+                        if stream.fifo {
+                            stream.cursor += 1;
+                        }
+                        self.start_task(tid);
+                        progress = true;
                     }
-                    self.start_task(tid);
-                    progress = true;
                 }
+                next = self.next_stream(s + 1);
             }
             if !progress {
                 break;
             }
         }
+    }
+
+    /// The next stream at or above `from` a start pass visits: every
+    /// stream on the reference path, else the lowest dirty one, which
+    /// it un-marks. A stream marked while the pass is under way is
+    /// visited in the same pass only when its id is above the current
+    /// one — exactly what a flag scan in id order does.
+    fn next_stream(&mut self, from: usize) -> Option<usize> {
+        if self.reference_scan {
+            return (from < self.streams.len()).then_some(from);
+        }
+        let s = self.dirty.next_at_or_after(from)?;
+        self.dirty.remove(s);
+        Some(s)
     }
 
     /// The first (lowest task id) ready, admitted task whose start
@@ -1370,7 +1382,7 @@ impl<'p> EngineState<'p> {
         }
         self.ready_set.insert(tid);
         let s = sid(self.tasks[tid].device.index(), self.tasks[tid].stream);
-        self.dirty[s] = true;
+        self.dirty.insert(s);
         if !self.streams[s].fifo && !self.tasks[tid].in_ready {
             self.streams[s].ready.push(tid);
             self.tasks[tid].in_ready = true;
@@ -1383,7 +1395,7 @@ impl<'p> EngineState<'p> {
     fn mark_device(&mut self, dev: usize) {
         let base = dev * STREAMS_PER_DEV;
         for k in 0..STREAMS_PER_DEV {
-            self.dirty[base + k] = true;
+            self.dirty.insert(base + k);
         }
     }
 
@@ -1493,7 +1505,7 @@ impl<'p> EngineState<'p> {
             // The compute cursor just advanced; swap-in admission windows
             // on any device may reference it.
             for dev in 0..self.gpu_count {
-                self.dirty[sid(dev, StreamKind::CopyIn)] = true;
+                self.dirty.insert(sid(dev, StreamKind::CopyIn));
             }
         }
 
@@ -1568,7 +1580,7 @@ impl<'p> EngineState<'p> {
         }
         let s = sid(self.tasks[tid].device.index(), self.tasks[tid].stream);
         self.streams[s].busy = false;
-        self.dirty[s] = true;
+        self.dirty.insert(s);
 
         match self.tasks[tid].payload {
             Payload::Op(op_id) => {

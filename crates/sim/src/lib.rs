@@ -28,7 +28,7 @@ pub mod report;
 pub mod trace;
 pub mod viz;
 
-pub use arena::{graph_fingerprint, ArenaPool, CostProfile, SimArena};
+pub use arena::{ArenaPool, CostProfile, SimArena};
 pub use device_map::DeviceMap;
 pub use engine::{SimConfig, SimError, SimOutcome, Simulator};
 pub use metrics::{DeviceMetrics, LinkMetrics, SimMetrics, StreamBusy};

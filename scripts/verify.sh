@@ -56,10 +56,15 @@ echo "== telemetry JSON round trip =="
 ./target/release/mpress-cli train --model bert-1.67b --metrics=json \
     | ./target/release/json_roundtrip_check
 
-echo "== planner timing smoke-run =="
-# jobs from MPRESS_JOBS if set, else auto-detected; the JSON records the
-# effective value alongside wall-clock and cache counters.
-./target/release/exp_bench_planner --out BENCH_planner.json
+echo "== planner timing smoke-run + zoo plan table =="
+# The reference case runs at MPRESS_JOBS if set, else auto-detected; the
+# JSON records the effective value alongside wall-clock and cache
+# counters. The 20 zoo jobs always run at jobs=1, and --check fails on
+# any deterministic field (per-job emulator runs, refinement rounds,
+# makespan, TFLOPS) that differs from the checked-in table. A change
+# that is meant to move plans regenerates the table without --check and
+# lists every changed row.
+./target/release/exp_bench_planner --check BENCH_planner.json --out BENCH_planner.json
 
 echo "== emulator fast-path smoke-run =="
 # Steady-state emulation throughput, plan wall at jobs=1/8, and two hard
