@@ -9,12 +9,12 @@
 //! does. Output schema (one zoo row per line):
 //!
 //! ```json
-//! {"wall_s": 0.175, "jobs": 1, "emulator_runs": 78, "cache_hits": 6,
-//!  "cache_hits_canonical": 0, "cache_hit_rate": 0.0714,
-//!  "verifier_rejections": 0, "bounds_pruned": 16,
-//!  "peak_workers": 1, "bound_aborts": 26,
-//!  "refinement_rounds": 56, "refine_candidates": [1, 6, 3, 5, 1, 4, 3, 1, 1, 7, 9, 14, 1],
-//!  "zoo_wall_s": 5.9, "zoo_emulator_runs": 2793, "zoo": [
+//! {"wall_s": 0.091, "jobs": 1, "emulator_runs": 35, "cache_hits": 6,
+//!  "cache_hits_canonical": 0, "cache_hit_rate": 0.1463,
+//!  "verifier_rejections": 0, "bounds_pruned": 15,
+//!  "peak_workers": 1, "bound_aborts": 9,
+//!  "refinement_rounds": 28, "refine_candidates": [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1],
+//!  "zoo_wall_s": 3.2, "zoo_emulator_runs": 1053, "zoo": [
 //!   {"model": "bert-0.35b", "machine": "dgx1", "emulator_runs": 1,
 //!    "refinement_rounds": 0, "makespan_s": 0.9, "tflops": 40.2, "wall_s": 0.004},
 //!   ...

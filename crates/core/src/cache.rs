@@ -29,7 +29,7 @@
 use crate::planner::MpressPlan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default capacity for the plan level: whole plans are large (device
 /// map + per-tensor directives + baseline report), so the menu of
@@ -128,6 +128,16 @@ pub struct PlanCacheStats {
     pub emu_entries: usize,
 }
 
+/// Locks one cache level even if a panicking thread poisoned it, so one
+/// panic cannot disable the cache for every later request. Every entry
+/// is a deterministic function of its key, and each [`Lru`] step leaves
+/// the map serving correct values: an update cut short can at worst
+/// leave an entry without a current queue stamp, which only delays its
+/// eviction.
+fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug)]
 struct PlanCacheInner {
     plans: Mutex<Lru<u64, MpressPlan>>,
@@ -181,12 +191,7 @@ impl PlanCache {
 
     /// Looks a whole plan up by its request digest.
     pub fn plan_lookup(&self, digest: u64) -> Option<MpressPlan> {
-        let found = self
-            .inner
-            .plans
-            .lock()
-            .expect("plan cache lock")
-            .get(&digest);
+        let found = recover(&self.inner.plans).get(&digest);
         let counter = if found.is_some() {
             &self.inner.plan_hits
         } else {
@@ -200,12 +205,7 @@ impl PlanCache {
     /// wins: concurrent planners racing on the same digest computed
     /// byte-identical plans, so either copy is authoritative).
     pub fn plan_insert(&self, digest: u64, plan: &MpressPlan) {
-        let evicted = self
-            .inner
-            .plans
-            .lock()
-            .expect("plan cache lock")
-            .insert(digest, plan.clone());
+        let evicted = recover(&self.inner.plans).insert(digest, plan.clone());
         self.inner
             .plan_evictions
             .fetch_add(evicted, Ordering::Relaxed);
@@ -213,12 +213,7 @@ impl PlanCache {
 
     /// Shared emulation-outcome lookup, scoped by the job fingerprint.
     pub(crate) fn emu_lookup(&self, scope: u64, key: u64) -> Option<EmuOutcome> {
-        let found = self
-            .inner
-            .emu
-            .lock()
-            .expect("emu cache lock")
-            .get(&(scope, key));
+        let found = recover(&self.inner.emu).get(&(scope, key));
         let counter = if found.is_some() {
             &self.inner.emu_hits
         } else {
@@ -230,12 +225,7 @@ impl PlanCache {
 
     /// Records a shared emulation outcome.
     pub(crate) fn emu_insert(&self, scope: u64, key: u64, outcome: EmuOutcome) {
-        let evicted = self
-            .inner
-            .emu
-            .lock()
-            .expect("emu cache lock")
-            .insert((scope, key), outcome);
+        let evicted = recover(&self.inner.emu).insert((scope, key), outcome);
         self.inner
             .emu_evictions
             .fetch_add(evicted, Ordering::Relaxed);
@@ -243,8 +233,8 @@ impl PlanCache {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
-        let plan_entries = self.inner.plans.lock().expect("plan cache lock").len();
-        let emu_entries = self.inner.emu.lock().expect("emu cache lock").len();
+        let plan_entries = recover(&self.inner.plans).len();
+        let emu_entries = recover(&self.inner.emu).len();
         PlanCacheStats {
             plan_hits: self.inner.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.inner.plan_misses.load(Ordering::Relaxed),
@@ -459,6 +449,27 @@ mod tests {
         assert_eq!(stats.plan_misses, 1);
         assert_eq!(stats.plan_hits, 1);
         assert_eq!(stats.plan_entries, 1);
+    }
+
+    #[test]
+    fn a_panic_holding_the_locks_does_not_poison_later_requests() {
+        let cache = PlanCache::with_capacity(4, 4);
+        cache.plan_insert(1, &dummy_plan(1));
+        let held = cache.clone();
+        let panicked = std::thread::spawn(move || {
+            let _plans = held.inner.plans.lock();
+            let _emu = held.inner.emu.lock();
+            panic!("request panicked while holding the cache locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(cache.inner.plans.is_poisoned() && cache.inner.emu.is_poisoned());
+        assert_eq!(cache.plan_lookup(1).map(|p| p.refinement_rounds), Some(1));
+        cache.plan_insert(2, &dummy_plan(2));
+        assert_eq!(cache.plan_lookup(2).map(|p| p.refinement_rounds), Some(2));
+        assert!(cache.emu_lookup(7, 7).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.plan_entries, stats.plan_hits), (2, 2));
     }
 
     #[test]

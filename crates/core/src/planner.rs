@@ -28,7 +28,7 @@ use mpress_sim::{
     ArenaPool, DeviceMap, OomEvent, PoolKind, SimArena, SimError, SimOutcome, SimReport, Simulator,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -471,30 +471,7 @@ pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// accept for an allocation-free key (the property suite still pins
 /// cached == uncached outcomes on real searches).
 fn cache_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
-    let mut h = fnv(FNV_SEED, device_map.len() as u64);
-    for stage in 0..device_map.len() {
-        h = fnv(h, device_map.device_of(stage).0 as u64);
-    }
-    for (tensor, directive) in plan.iter() {
-        h = fnv(h, tensor.index() as u64);
-        match directive {
-            MemoryDirective::Recompute => h = fnv(h, 0),
-            MemoryDirective::SwapToHost(tier) => {
-                h = fnv(h, 1);
-                h = fnv(h, u64::from(*tier == HostTier::Nvme));
-            }
-            MemoryDirective::SwapD2d(stripe) => {
-                h = fnv(h, 2);
-                h = fnv(h, stripe.one_way_time().to_bits());
-                h = fnv(h, stripe.chunks().len() as u64);
-                for chunk in stripe.chunks() {
-                    h = fnv(h, chunk.target.0 as u64);
-                    h = fnv(h, chunk.bytes.as_u64());
-                }
-            }
-        }
-    }
-    h
+    plan_digest(plan, device_map, |device| device.0 as u64)
 }
 
 /// [`cache_key`] made invariant under consistent device relabeling:
@@ -510,15 +487,35 @@ fn cache_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
 /// across the mapping-search and portfolio variants, which revisit
 /// equivalent plans under permuted maps.
 fn canon_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
-    let mut ranks: HashMap<u64, u64> = HashMap::new();
-    fn rank(ranks: &mut HashMap<u64, u64>, device: u64) -> u64 {
-        let next = ranks.len() as u64;
-        *ranks.entry(device).or_insert(next)
-    }
+    // ranks[d] = 1 + device d's first-appearance rank (0 = unseen); no
+    // allocation per call. Ids past the table keep a raw-id digest
+    // disjoint from every rank: a finer, still sound key.
+    let mut ranks = [0u32; CANON_DEVICES];
+    let mut next = 0u32;
+    plan_digest(plan, device_map, |device| {
+        let Some(slot) = ranks.get_mut(device.0) else {
+            return (CANON_DEVICES + device.0) as u64;
+        };
+        if *slot == 0 {
+            next += 1;
+            *slot = next;
+        }
+        u64::from(*slot - 1)
+    })
+}
+
+/// The digest [`cache_key`] and [`canon_key`] share: the device map,
+/// then per tensor the directive's simulator-visible properties, with
+/// every device id (stage hosts first, then stripe chunk targets in
+/// plan order) hashed as `device` reports it.
+fn plan_digest(
+    plan: &InstrumentationPlan,
+    device_map: &DeviceMap,
+    mut device: impl FnMut(DeviceId) -> u64,
+) -> u64 {
     let mut h = fnv(FNV_SEED, device_map.len() as u64);
     for stage in 0..device_map.len() {
-        let r = rank(&mut ranks, device_map.device_of(stage).0 as u64);
-        h = fnv(h, r);
+        h = fnv(h, device(device_map.device_of(stage)));
     }
     for (tensor, directive) in plan.iter() {
         h = fnv(h, tensor.index() as u64);
@@ -533,8 +530,7 @@ fn canon_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
                 h = fnv(h, stripe.one_way_time().to_bits());
                 h = fnv(h, stripe.chunks().len() as u64);
                 for chunk in stripe.chunks() {
-                    let r = rank(&mut ranks, chunk.target.0 as u64);
-                    h = fnv(h, r);
+                    h = fnv(h, device(chunk.target));
                     h = fnv(h, chunk.bytes.as_u64());
                 }
             }
@@ -542,6 +538,10 @@ fn canon_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
     }
     h
 }
+
+/// Device slots in [`canon_key`]'s rank table: four times the largest
+/// modeled server (DGX-2, 16 GPUs).
+const CANON_DEVICES: usize = 64;
 
 /// One emulator-verified replacement attempt for a refinement victim:
 /// the choice it tries in place of the incumbent's plus (for D2D
@@ -551,30 +551,21 @@ struct RefineTrial {
     budgets: Option<Vec<Vec<(DeviceId, u32, Bytes)>>>,
 }
 
-/// A refinement trial waiting on the priority frontier: everything
-/// needed to re-emit its plan when popped and to adopt it on commit.
-/// Every entry differs from the incumbent in its victim's choice alone
-/// (a commit clears the frontier), so only that choice is kept; the
-/// plan is emitted once to compute the frontier key and again when
-/// popped, so a frontier of thousands of trials never holds thousands
-/// of plans or choice vectors. The key it sits under —
-/// `(lb_bits, canon_key, exact_key)` — orders trials by certified
-/// makespan lower bound first (most promising = lowest bound), and the
-/// digest tie-breaks make the order a pure function of the trial set.
+/// A refinement trial waiting on the [`Frontier`]. Every entry differs
+/// from the incumbent in its victim's choice alone (a commit clears the
+/// frontier), so only that choice is kept: the plan is emitted once for
+/// the frontier key and again when popped, never held.
 struct FrontierEntry {
     victim: usize,
     trial: RefineTrial,
 }
 
-/// The refinement frontier of one search (see [`FrontierEntry`]).
-#[derive(Default)]
-struct Frontier {
-    entries: BTreeMap<(u64, u64, u64), FrontierEntry>,
-    /// Structural keys of every trial ever enqueued, so no two entries
-    /// share an exact key. Persists across commits: a trial that lost
-    /// to an older incumbent cannot beat a newer one (DESIGN.md §13b).
-    seen: HashSet<u64>,
-}
+/// The refinement frontier: the incumbent's trials for every victim not
+/// yet visited, keyed by `(lb_bits, canon_key, exact_key)` — lowest
+/// certified makespan bound first, digest tie-breaks (first insert wins)
+/// making the order a pure function of the trial set. Each victim is
+/// visited once (DESIGN.md §13b).
+type Frontier = BTreeMap<(u64, u64, u64), FrontierEntry>;
 
 /// What one (possibly bounded) emulator window produced.
 enum RunOut {
@@ -881,15 +872,7 @@ impl<'a> Planner<'a> {
         // overflows, yet compacted late stages donate plenty (that is how
         // the paper's Table IV shows D2D at 20.4B).
         let projected: Vec<Bytes> = (0..n)
-            .map(|stage| {
-                let covered: Bytes = classes
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, c)| c.stage == stage && choice[*i].is_assigned())
-                    .map(|(_, c)| c.peak_saving())
-                    .sum();
-                peaks[stage].saturating_sub(covered)
-            })
+            .map(|stage| peaks[stage].saturating_sub(covered(classes, &choice, stage)))
             .collect();
         let spare: Vec<Bytes> = projected
             .iter()
@@ -909,13 +892,8 @@ impl<'a> Planner<'a> {
         // --- D2D coverage of leftover overflow --------------------------------
         if opts.d2d {
             for stage in 0..n {
-                let covered: Bytes = classes
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, c)| c.stage == stage && choice[*i].is_assigned())
-                    .map(|(_, c)| c.peak_saving())
-                    .sum();
-                let mut remaining = overflow[stage].saturating_sub(covered);
+                let mut remaining =
+                    overflow[stage].saturating_sub(covered(classes, &choice, stage));
                 if remaining.is_zero() {
                     continue;
                 }
@@ -1024,22 +1002,21 @@ impl<'a> Planner<'a> {
                     .then(classes[b].peak_saving().cmp(&classes[a].peak_saving()))
             });
             let victims: Vec<usize> = victims.into_iter().take(self.config.refine_iters).collect();
-            // --- Best-first frontier search -----------------------------
-            // Trials are adjudicated one at a time in frontier order
-            // (certified makespan lower bound first) against the
-            // incumbent. A commit invalidates the whole frontier (its
-            // trials were built on the replaced incumbent's choice
-            // vector) and regenerates trials for the unconsumed victims.
-            let mut consumed: Vec<bool> = vec![false; classes.len()];
-            let mut frontier = Frontier::default();
-            let max_adjudications = self.config.refine_iters.saturating_mul(4);
+            // --- Best-first frontier search, one visit per victim -------
+            // Trials are adjudicated in frontier order against the
+            // incumbent. Popping any trial of a victim marks it tried; a
+            // commit clears the frontier (its trials were built on the
+            // replaced incumbent) and re-enqueues the untried victims, so
+            // the walk ends when the frontier runs dry.
+            let mut tried: Vec<bool> = vec![false; classes.len()];
+            let mut frontier = Frontier::new();
             let enqueue_victims = |frontier: &mut Frontier,
                                    choice: &[Choice],
                                    budgets: &[Vec<(DeviceId, u32, Bytes)>],
-                                   consumed: &[bool]|
+                                   tried: &[bool]|
              -> Result<(), SimError> {
                 let mut trial_choice = choice.to_vec();
-                for &i in victims.iter().filter(|&&i| !consumed[i]) {
+                for &i in victims.iter().filter(|&&i| !tried[i]) {
                     for trial in
                         self.refine_trials(opts, &cost, classes, &minted, i, choice, budgets)
                     {
@@ -1047,27 +1024,20 @@ impl<'a> Planner<'a> {
                         let trial_budgets = trial.budgets.as_deref().unwrap_or(budgets);
                         let plan = self.emit(classes, &trial_choice, trial_budgets, &device_map)?;
                         let key = cache_key(&plan, &device_map);
-                        if !frontier.seen.insert(key) {
-                            continue;
-                        }
                         let lb = self.frontier_lb(key, &plan, &device_map);
                         let ckey = canon_key(&plan, &device_map);
-                        frontier.entries.insert(
-                            (lb.to_bits(), ckey, key),
-                            FrontierEntry { victim: i, trial },
-                        );
+                        frontier
+                            .entry((lb.to_bits(), ckey, key))
+                            .or_insert(FrontierEntry { victim: i, trial });
                     }
                     trial_choice[i] = choice[i];
                 }
                 Ok(())
             };
-            enqueue_victims(&mut frontier, &choice, &budgets, &consumed)?;
+            enqueue_victims(&mut frontier, &choice, &budgets, &tried)?;
             let mut since_commit = 0usize;
-            for _ in 0..max_adjudications {
-                let Some((_, FrontierEntry { victim, trial })) = frontier.entries.pop_first()
-                else {
-                    break;
-                };
+            while let Some((_, FrontierEntry { victim, trial })) = frontier.pop_first() {
+                tried[victim] = true;
                 since_commit += 1;
                 rounds += 1;
                 let mut trial_choice = choice.clone();
@@ -1088,68 +1058,50 @@ impl<'a> Planner<'a> {
                 }
                 best_plan = plan;
                 best_metric = metric;
-                consumed[victim] = true;
                 refine_candidates.push(since_commit);
                 since_commit = 0;
-                frontier.entries.clear();
-                enqueue_victims(&mut frontier, &choice, &budgets, &consumed)?;
+                frontier.clear();
+                enqueue_victims(&mut frontier, &choice, &budgets, &tried)?;
             }
             if since_commit > 0 {
                 refine_candidates.push(since_commit);
             }
-            // Portfolio check A: minting donor space may not have paid
-            // off at all — try the plan with every unswitched minted
-            // offload stripped.
-            if !minted.is_empty() {
-                let mut stripped = choice.clone();
-                for &i in &minted {
-                    if matches!(stripped[i], Choice::HostSwap { .. }) {
-                        stripped[i] = Choice::None;
-                    }
-                }
-                if stripped != choice {
-                    let trial_plan = self.emit(classes, &stripped, &budgets, &device_map)?;
-                    let metric =
-                        self.emulate_bounded(&trial_plan, &device_map, Some(best_metric))?;
-                    rounds += 1;
-                    refine_candidates.push(1);
-                    if let Some((metric, _)) = metric {
-                        if metric_better(metric, best_metric) {
-                            choice = stripped;
-                            best_plan = trial_plan;
-                            best_metric = metric;
-                        }
-                    }
-                }
-            }
-            // Portfolio check B: the greedy start can over-commit to host
-            // swaps whose queuing the estimates miss. The recompute-
-            // preferred variant of the same assignment is one emit away —
-            // keep whichever the emulator favors (this also guarantees
-            // full MPress never loses to its own recomputation baseline).
-            if opts.recompute {
-                let mut rec_choice = choice.clone();
+            // Portfolio checks, each one emit away from the incumbent and
+            // kept when the emulator favors it. A: minting donor space may
+            // not have paid off at all — strip every unswitched minted
+            // offload. B: the greedy start can over-commit to host swaps
+            // whose queuing the estimates miss — prefer recomputation
+            // wherever it applies (this also guarantees full MPress never
+            // loses to its own recomputation baseline).
+            for prefer_recompute in [false, true] {
+                let mut alt = choice.clone();
                 for (i, class) in classes.iter().enumerate() {
-                    if class.recomputable() && matches!(rec_choice[i], Choice::HostSwap { .. }) {
-                        rec_choice[i] = Choice::Recompute {
+                    if !matches!(alt[i], Choice::HostSwap { .. }) {
+                        continue;
+                    }
+                    if !prefer_recompute && minted.contains(&i) {
+                        alt[i] = Choice::None;
+                    } else if prefer_recompute && opts.recompute && class.recomputable() {
+                        alt[i] = Choice::Recompute {
                             overhead: cost.recompute(class.recompute_time).overhead,
                         };
                     }
                 }
-                if rec_choice != choice {
-                    let rec_plan = self.emit(classes, &rec_choice, &budgets, &device_map)?;
-                    let metric = self.emulate_bounded(&rec_plan, &device_map, Some(best_metric))?;
-                    rounds += 1;
-                    refine_candidates.push(1);
-                    if let Some((metric, _)) = metric {
-                        if metric_better(metric, best_metric) {
-                            best_plan = rec_plan;
-                            best_metric = metric;
-                        }
+                if alt == choice {
+                    continue;
+                }
+                let alt_plan = self.emit(classes, &alt, &budgets, &device_map)?;
+                let metric = self.emulate_bounded(&alt_plan, &device_map, Some(best_metric))?;
+                rounds += 1;
+                refine_candidates.push(1);
+                if let Some((metric, _)) = metric {
+                    if metric_better(metric, best_metric) {
+                        choice = alt;
+                        best_plan = alt_plan;
+                        best_metric = metric;
                     }
                 }
             }
-            let _ = best_metric;
             return Ok(MpressPlan {
                 device_map,
                 instrumentation: best_plan,
@@ -1191,18 +1143,7 @@ impl<'a> Planner<'a> {
         cost: &CostModel,
         class: &TensorClass,
     ) -> Option<Choice> {
-        let mut best: Option<Choice> = None;
-        if opts.host_swap && class.swappable {
-            let tier = self.host_tier_for(class);
-            let c = match tier {
-                HostTier::Dram => cost.gpu_cpu_swap(class.bytes_per_instance, class.live_interval),
-                HostTier::Nvme => cost.nvme_swap(class.bytes_per_instance, class.live_interval),
-            };
-            best = Some(Choice::HostSwap {
-                overhead: c.overhead,
-                tier,
-            });
-        }
+        let mut best = (opts.host_swap && class.swappable).then(|| self.host_swap(cost, class));
         if opts.recompute && class.recomputable() {
             let o = cost.recompute(class.recompute_time).overhead;
             if best.is_none_or(|b| o < b.overhead()) {
@@ -1212,20 +1153,24 @@ impl<'a> Planner<'a> {
         best
     }
 
-    /// Picks the off-GPU tier for one class: DRAM while the host pool has
-    /// room for the whole job's projected swap footprint, NVMe beyond.
-    /// The projection is conservative (every instance resident off-GPU at
-    /// once), which is exactly the capacity planners must guarantee.
-    fn host_tier_for(&self, class: &TensorClass) -> HostTier {
+    /// The host swap for one class. It lands in DRAM while the host pool
+    /// has room for the class's projected swap footprint and on NVMe (when
+    /// the machine has one) beyond. The projection is conservative (every
+    /// instance resident off-GPU at once), which is exactly the capacity
+    /// planners must guarantee.
+    fn host_swap(&self, cost: &CostModel, class: &TensorClass) -> Choice {
         let projected = class.bytes_per_instance * class.instances.len() as u64;
         // Keep 10% of host DRAM free for pinned staging buffers.
         let budget = self.machine.cpu().memory.scale(0.9);
-        if projected <= budget && self.machine.nvme().is_some() {
-            HostTier::Dram
-        } else if self.machine.nvme().is_some() && projected > budget {
-            HostTier::Nvme
+        let (bytes, interval) = (class.bytes_per_instance, class.live_interval);
+        let (tier, c) = if self.machine.nvme().is_some() && projected > budget {
+            (HostTier::Nvme, cost.nvme_swap(bytes, interval))
         } else {
-            HostTier::Dram
+            (HostTier::Dram, cost.gpu_cpu_swap(bytes, interval))
+        };
+        Choice::HostSwap {
+            overhead: c.overhead,
+            tier,
         }
     }
 
@@ -1523,20 +1468,8 @@ impl<'a> Planner<'a> {
         // Candidate: the reverse — recomputation contending with
         // backward compute may lose to an overlappable host swap.
         if opts.host_swap && classes[i].swappable && matches!(choice[i], Choice::Recompute { .. }) {
-            let tier = self.host_tier_for(&classes[i]);
-            let c = match tier {
-                HostTier::Dram => {
-                    cost.gpu_cpu_swap(classes[i].bytes_per_instance, classes[i].live_interval)
-                }
-                HostTier::Nvme => {
-                    cost.nvme_swap(classes[i].bytes_per_instance, classes[i].live_interval)
-                }
-            };
             trials.push(RefineTrial {
-                replacement: Choice::HostSwap {
-                    overhead: c.overhead,
-                    tier,
-                },
+                replacement: self.host_swap(cost, &classes[i]),
                 budgets: None,
             });
         }
@@ -1568,6 +1501,16 @@ impl<'a> Planner<'a> {
             .insert(key, oom);
         oom
     }
+}
+
+/// Peak bytes the assigned classes of one stage save.
+fn covered(classes: &[TensorClass], choice: &[Choice], stage: usize) -> Bytes {
+    classes
+        .iter()
+        .zip(choice)
+        .filter(|(c, ch)| c.stage == stage && ch.is_assigned())
+        .map(|(c, _)| c.peak_saving())
+        .sum()
 }
 
 /// Reserves donor budget for a whole class (all peak-resident instances).
@@ -1666,6 +1609,50 @@ mod tests {
             .precision(PrecisionPolicy::mixed())
             .build()
             .unwrap()
+    }
+
+    /// A plan with every directive kind over a permuted 4-stage map,
+    /// relabeled by `perm` (device `d` becomes `perm[d]`).
+    fn canon_fixture(perm: [usize; 4]) -> (InstrumentationPlan, DeviceMap) {
+        let dev = |d: usize| DeviceId(perm[d]);
+        let stripe = StripePlan::equal(Bytes::mib(64), &[dev(3), dev(0)], 2);
+        let mut plan = InstrumentationPlan::new();
+        for (t, directive) in [
+            (1, MemoryDirective::Recompute),
+            (2, MemoryDirective::SwapToHost(HostTier::Nvme)),
+            (5, MemoryDirective::SwapD2d(stripe)),
+            (
+                9,
+                MemoryDirective::SwapD2d(StripePlan::single(Bytes::mib(8), dev(1), 1)),
+            ),
+        ] {
+            plan.assign(mpress_graph::TensorId(t), directive);
+        }
+        let map = DeviceMap::from_vec(vec![dev(2), dev(0), dev(1), dev(3)]).unwrap();
+        (plan, map)
+    }
+
+    #[test]
+    fn canon_key_is_pinned_and_invariant_under_device_relabeling() {
+        // Pinned digests: the emulation cache keys are part of every
+        // search's trajectory (frontier tie-breaks), so they must not move.
+        let (plan, map) = canon_fixture([0, 1, 2, 3]);
+        assert_eq!(cache_key(&plan, &map), 0x8eb0_ad68_991c_425a);
+        assert_eq!(canon_key(&plan, &map), 0xc286_5fa7_c5da_cb6c);
+        let (relabeled, relabeled_map) = canon_fixture([3, 0, 1, 2]);
+        assert_ne!(
+            cache_key(&relabeled, &relabeled_map),
+            cache_key(&plan, &map)
+        );
+        assert_eq!(
+            canon_key(&relabeled, &relabeled_map),
+            canon_key(&plan, &map)
+        );
+        // Another stripe target under the same map is not equivalent.
+        let moved = StripePlan::single(Bytes::mib(8), DeviceId(2), 1);
+        let mut plan_moved = plan.clone();
+        plan_moved.assign(mpress_graph::TensorId(9), MemoryDirective::SwapD2d(moved));
+        assert_ne!(canon_key(&plan_moved, &map), canon_key(&plan, &map));
     }
 
     #[test]

@@ -112,10 +112,10 @@ fn reference_search_stays_within_its_run_budget() {
         .plan();
     mpress_par::set_jobs(0);
     let (plan, _) = planned.expect("valid inputs");
-    assert!(plan.search.emulator_runs <= 78, "{:?}", plan.search);
+    assert!(plan.search.emulator_runs <= 35, "{:?}", plan.search);
     assert_eq!(
         plan.refine_candidates,
-        [1, 6, 3, 5, 1, 4, 3, 1, 1, 7, 9, 14, 1]
+        [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1]
     );
 }
 
