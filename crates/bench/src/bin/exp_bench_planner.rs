@@ -10,8 +10,7 @@
 //!
 //! ```json
 //! {"wall_s": 0.091, "jobs": 1, "emulator_runs": 35, "cache_hits": 6,
-//!  "cache_hits_canonical": 0, "cache_hit_rate": 0.1463,
-//!  "verifier_rejections": 0, "bounds_pruned": 15,
+//!  "cache_hit_rate": 0.1463, "verifier_rejections": 0, "bounds_pruned": 15,
 //!  "peak_workers": 1, "bound_aborts": 9,
 //!  "refinement_rounds": 28, "refine_candidates": [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1],
 //!  "zoo_wall_s": 3.2, "zoo_emulator_runs": 1053, "zoo": [
@@ -123,7 +122,7 @@ fn main() {
         .join(", ");
     let mut json = format!(
         "{{\"wall_s\": {:.3}, \"jobs\": {}, \"emulator_runs\": {}, \"cache_hits\": {}, \
-         \"cache_hits_canonical\": {}, \"cache_hit_rate\": {:.4}, \
+         \"cache_hit_rate\": {:.4}, \
          \"verifier_rejections\": {}, \"bounds_pruned\": {}, \
          \"peak_workers\": {}, \"bound_aborts\": {}, \
          \"refinement_rounds\": {}, \"refine_candidates\": [{}],",
@@ -131,7 +130,6 @@ fn main() {
         plan.search.jobs,
         plan.search.emulator_runs,
         plan.search.cache_hits,
-        plan.search.cache_hits_canonical,
         plan.search.cache_hit_rate(),
         plan.search.verifier_rejections,
         plan.search.bounds_pruned,
@@ -142,13 +140,12 @@ fn main() {
     );
     eprintln!(
         "reference planner wall {wall_s:.3}s at jobs={} (peak {} workers), \
-         {} emulator runs, {} cache hits (+{} canonical), {} bounds prunes, \
+         {} emulator runs, {} cache hits, {} bounds prunes, \
          {} bound aborts",
         plan.search.jobs,
         plan.search.peak_workers,
         plan.search.emulator_runs,
         plan.search.cache_hits,
-        plan.search.cache_hits_canonical,
         plan.search.bounds_pruned,
         plan.search.bound_aborts
     );

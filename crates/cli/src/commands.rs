@@ -68,11 +68,10 @@ fn search_summary(s: &mpress::SearchStats, indent: &str, candidates: Option<&[us
     let mut out = String::new();
     let _ = write!(
         out,
-        "{indent}search: {} emulator runs, {} cache hits (+{} canonical, {:.0}% hit rate), \
+        "{indent}search: {} emulator runs, {} cache hits ({:.0}% hit rate), \
          {} verifier rejections, jobs={} (peak {} workers)",
         s.emulator_runs,
         s.cache_hits,
-        s.cache_hits_canonical,
         100.0 * s.cache_hit_rate(),
         s.verifier_rejections,
         s.jobs,

@@ -10,7 +10,7 @@
 //!   the whole search and returns the previously chosen
 //!   [`MpressPlan`](crate::MpressPlan), byte-identical by construction;
 //! * an **emulation level** keyed by `(job scope, structural plan key)`
-//!   — the planner's canonical fingerprint digest (`cache_key`), scoped
+//!   — the planner's structural fingerprint digest (`cache_key`), scoped
 //!   by the job's graph/machine fingerprint so outcomes computed for one
 //!   job can never answer for another. Different searches over the same
 //!   job (portfolio variants, different technique sets) share windows.

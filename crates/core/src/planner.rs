@@ -24,9 +24,7 @@ use mpress_compaction::{
 };
 use mpress_hw::{Bytes, DeviceId, Machine, Secs};
 use mpress_pipeline::{LoweredJob, PipelineJob};
-use mpress_sim::{
-    ArenaPool, DeviceMap, OomEvent, PoolKind, SimArena, SimError, SimOutcome, SimReport, Simulator,
-};
+use mpress_sim::{ArenaPool, DeviceMap, OomEvent, SimError, SimOutcome, SimReport, Simulator};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -210,8 +208,9 @@ pub struct SearchStats {
     pub jobs: usize,
     /// Peak concurrently-busy workers observed in the process so far.
     pub peak_workers: usize,
-    /// `emulate()` calls answered by the canonical (device-permutation
-    /// invariant) cache view after an exact-key miss (see `canon_key`).
+    /// Always 0: the canonical (device-permutation) cache view was
+    /// removed. Kept only because the repo benchmark (`perfbench`)
+    /// still reads it.
     pub cache_hits_canonical: usize,
     /// Always 0: incremental (delta) re-emulation was removed. Kept
     /// only because the repo benchmark (`perfbench`) still reads it.
@@ -246,17 +245,16 @@ pub struct SearchStats {
 impl SearchStats {
     /// Total `emulate()` calls (cached + executed).
     pub fn emulate_calls(&self) -> usize {
-        self.emulator_runs + self.cache_hits + self.cache_hits_canonical
+        self.emulator_runs + self.cache_hits
     }
 
-    /// Fraction of `emulate()` calls served from cache (exact or
-    /// canonical).
+    /// Fraction of `emulate()` calls served from cache.
     pub fn cache_hit_rate(&self) -> f64 {
         let calls = self.emulate_calls();
         if calls == 0 {
             0.0
         } else {
-            (self.cache_hits + self.cache_hits_canonical) as f64 / calls as f64
+            self.cache_hits as f64 / calls as f64
         }
     }
 }
@@ -328,50 +326,22 @@ impl Choice {
 /// Refinement repeatedly re-creates previously-seen plans (rejected
 /// trials revert to the incumbent, portfolio variants re-derive the
 /// same assignment), so whole simulator windows can be skipped. The
-/// key is a canonical **structural** digest of the plan's simulator-
-/// visible effects (see [`cache_key`]), interned to one `u64` — no
-/// per-call allocation, and equivalent candidates reached via different
+/// key is a **structural** digest of the plan's simulator-visible
+/// effects (see [`cache_key`]), interned to one `u64` — no per-call
+/// allocation, and equivalent candidates reached via different
 /// refinement paths collapse onto the same entry.
 #[derive(Debug, Default)]
 struct EmulationCache {
     entries: Mutex<HashMap<u64, Outcome>>,
-    /// Device-permutation-invariant view of `entries`, keyed by
-    /// [`canon_key`]. Exact lookups run first; a canonical hit is
-    /// promoted into `entries` under the exact key.
-    canon: Mutex<HashMap<u64, (Metric, Option<CanonOom>)>>,
     runs: AtomicUsize,
     hits: AtomicUsize,
-    canon_hits: AtomicUsize,
     verifier_rejections: AtomicUsize,
     bounds_pruned: AtomicUsize,
-    /// Memoized certified-OOM residency verdicts keyed by the structural
-    /// [`cache_key`]. Pruned candidates never reach the metric caches,
-    /// so without this memo a rejected trial re-derived later in the
-    /// search would re-pay the directive walk.
-    bounds_memo: Mutex<HashMap<u64, bool>>,
-    /// Memoized analytic makespan lower bounds keyed by [`cache_key`],
-    /// used to order the refinement frontier. Orthogonal to the pruning
-    /// memo above: the frontier needs the bound for *every* candidate,
-    /// including ones the gates never see.
-    lb_memo: Mutex<HashMap<u64, Secs>>,
     bound_aborts: AtomicUsize,
 }
 
 /// What one emulator window reports back to the search.
 type Outcome = (Metric, Option<OomEvent>);
-
-/// A map-independent OOM record: the failing GPU is remembered as its
-/// *stage*, so a canonical hit reached under a different device
-/// permutation can reconstruct the [`OomEvent`] for the map actually in
-/// use.
-#[derive(Debug, Clone, Copy)]
-struct CanonOom {
-    pool: PoolKind,
-    stage: Option<usize>,
-    time: Secs,
-    used: Bytes,
-    capacity: Bytes,
-}
 
 impl EmulationCache {
     fn lookup(&self, key: u64) -> Option<Outcome> {
@@ -382,62 +352,11 @@ impl EmulationCache {
         found
     }
 
-    /// Canonical-view lookup, reconstructing the OOM event for the
-    /// caller's device map. Counts `canon_hits` and promotes the result
-    /// into the exact map under `exact_key` so later repeats are exact
-    /// hits.
-    fn lookup_canon(&self, ckey: u64, exact_key: u64, device_map: &DeviceMap) -> Option<Outcome> {
-        let found = self.canon.lock().expect("canon lock").get(&ckey).copied();
-        let (metric, canon_oom) = found?;
-        self.canon_hits.fetch_add(1, Ordering::Relaxed);
-        let oom = canon_oom.map(|c| OomEvent {
-            pool: c.pool,
-            device: c.stage.map(|s| device_map.device_of(s)),
-            time: c.time,
-            used: c.used,
-            capacity: c.capacity,
-        });
-        let outcome = (metric, oom);
-        self.insert(exact_key, outcome);
-        Some(outcome)
-    }
-
     fn insert(&self, key: u64, outcome: Outcome) {
         self.entries
             .lock()
             .expect("cache lock")
             .insert(key, outcome);
-    }
-
-    /// Records an outcome under its canonical key. OOM devices are
-    /// translated to stages through the *producing* map; an OOM on a
-    /// GPU hosting no stage has no map-independent description and is
-    /// simply not shared.
-    fn insert_canon(&self, ckey: u64, outcome: Outcome, device_map: &DeviceMap) {
-        let canon_oom = match outcome.1 {
-            None => None,
-            Some(e) => {
-                let stage = match e.device {
-                    None => None,
-                    Some(d) => match device_map.stage_of(d) {
-                        Some(s) => Some(s),
-                        None => return,
-                    },
-                };
-                Some(CanonOom {
-                    pool: e.pool,
-                    stage,
-                    time: e.time,
-                    used: e.used,
-                    capacity: e.capacity,
-                })
-            }
-        };
-        self.canon
-            .lock()
-            .expect("canon lock")
-            .entry(ckey)
-            .or_insert((outcome.0, canon_oom));
     }
 }
 
@@ -477,15 +396,13 @@ fn cache_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
 /// [`cache_key`] made invariant under consistent device relabeling:
 /// every device id is replaced by its first-appearance rank (stage scan
 /// first, then stripe chunk targets in plan order), so plans that are
-/// equal up to a device permutation collide. GPUs are homogeneous and
-/// every timing the simulator reads off a stripe is hashed explicitly
-/// (`one_way_time`), so the emulator's visible inputs coincide for all
-/// members of a canonical class; OOM events are re-expressed per-map by
-/// [`EmulationCache::lookup_canon`]. Within one search the device map
-/// is fixed, making the canonical key a bijection of the exact one —
-/// the wins (counted in [`SearchStats::cache_hits_canonical`]) appear
-/// across the mapping-search and portfolio variants, which revisit
-/// equivalent plans under permuted maps.
+/// equal up to a device permutation collide.
+///
+/// Its only job is the refinement [`Frontier`]'s tie-break between
+/// trials with equal makespan lower bounds. It stays because that tie
+/// order is part of every search's trajectory: the other tie-breaks
+/// measured (the exact key alone, insertion order) change chosen plans
+/// and emulator-run counts. The digest is pinned by a unit test below.
 fn canon_key(plan: &InstrumentationPlan, device_map: &DeviceMap) -> u64 {
     // ranks[d] = 1 + device d's first-appearance rank (0 = unseen); no
     // allocation per call. Ids past the table keep a raw-id digest
@@ -563,7 +480,8 @@ struct FrontierEntry {
 /// The refinement frontier: the incumbent's trials for every victim not
 /// yet visited, keyed by `(lb_bits, canon_key, exact_key)` — lowest
 /// certified makespan bound first, digest tie-breaks (first insert wins)
-/// making the order a pure function of the trial set. Each victim is
+/// making the order a pure function of the trial set. A popped trial
+/// hands its exact key and bound on to the gate chain. Each victim is
 /// visited once (DESIGN.md §13b).
 type Frontier = BTreeMap<(u64, u64, u64), FrontierEntry>;
 
@@ -589,7 +507,7 @@ pub struct Planner<'a> {
     /// amortize the tables across planner instances.
     arenas: ArenaPool,
     /// Process-global outcome sharing: `(cache handle, job scope)`.
-    /// Probed after the local exact/canonical maps miss; see
+    /// Probed after the local exact map misses; see
     /// [`Planner::with_shared_cache`].
     shared: Option<(PlanCache, u64)>,
     /// Cancellation budget checked before every simulator window; see
@@ -664,7 +582,7 @@ impl<'a> Planner<'a> {
             verifier_rejections: self.cache.verifier_rejections.load(Ordering::Relaxed),
             jobs: mpress_par::pool_width(),
             peak_workers: mpress_par::peak_workers(),
-            cache_hits_canonical: self.cache.canon_hits.load(Ordering::Relaxed),
+            cache_hits_canonical: 0,
             delta_replays: 0,
             windows_replayed: 0,
             windows_total: 0,
@@ -683,14 +601,6 @@ impl<'a> Planner<'a> {
             Some(token) if !token.charge_run() => Err(SimError::Cancelled),
             _ => Ok(()),
         }
-    }
-
-    /// Checks an arena out of the pool (or makes a fresh one), runs `f`,
-    /// and returns the arena for the next emulator window. Concurrent
-    /// windows check out distinct arenas, so the pool's steady-state size
-    /// is the worker count.
-    fn with_arena<T>(&self, f: impl FnOnce(&mut SimArena) -> T) -> T {
-        self.arenas.with(f)
     }
 
     /// Produces the memory-saving plan.
@@ -747,6 +657,7 @@ impl<'a> Planner<'a> {
                     &alternative.instrumentation,
                     &alternative.device_map,
                     Some(full_metric),
+                    None,
                 )?
                 else {
                     continue; // pruned: cannot beat the incumbent
@@ -1024,7 +935,7 @@ impl<'a> Planner<'a> {
                         let trial_budgets = trial.budgets.as_deref().unwrap_or(budgets);
                         let plan = self.emit(classes, &trial_choice, trial_budgets, &device_map)?;
                         let key = cache_key(&plan, &device_map);
-                        let lb = self.frontier_lb(key, &plan, &device_map);
+                        let lb = self.lower_bound(&plan, &device_map);
                         let ckey = canon_key(&plan, &device_map);
                         frontier
                             .entry((lb.to_bits(), ckey, key))
@@ -1036,7 +947,9 @@ impl<'a> Planner<'a> {
             };
             enqueue_victims(&mut frontier, &choice, &budgets, &tried)?;
             let mut since_commit = 0usize;
-            while let Some((_, FrontierEntry { victim, trial })) = frontier.pop_first() {
+            while let Some(((lb_bits, _, key), FrontierEntry { victim, trial })) =
+                frontier.pop_first()
+            {
                 tried[victim] = true;
                 since_commit += 1;
                 rounds += 1;
@@ -1044,8 +957,12 @@ impl<'a> Planner<'a> {
                 trial_choice[victim] = trial.replacement;
                 let trial_budgets = trial.budgets.as_deref().unwrap_or(&budgets);
                 let plan = self.emit(classes, &trial_choice, trial_budgets, &device_map)?;
+                // The frontier holds trials of the current incumbent only,
+                // so the re-emitted plan is the one that was keyed.
+                debug_assert_eq!(cache_key(&plan, &device_map), key);
+                let carried = Some((key, f64::from_bits(lb_bits)));
                 let Some((metric, _)) =
-                    self.emulate_bounded(&plan, &device_map, Some(best_metric))?
+                    self.emulate_bounded(&plan, &device_map, Some(best_metric), carried)?
                 else {
                     continue; // rejected, pruned or aborted: cannot win
                 };
@@ -1091,7 +1008,8 @@ impl<'a> Planner<'a> {
                     continue;
                 }
                 let alt_plan = self.emit(classes, &alt, &budgets, &device_map)?;
-                let metric = self.emulate_bounded(&alt_plan, &device_map, Some(best_metric))?;
+                let metric =
+                    self.emulate_bounded(&alt_plan, &device_map, Some(best_metric), None)?;
                 rounds += 1;
                 refine_candidates.push(1);
                 if let Some((metric, _)) = metric {
@@ -1245,7 +1163,7 @@ impl<'a> Planner<'a> {
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
     ) -> Result<(Metric, Option<OomEvent>), SimError> {
-        self.emulate_bounded(plan, device_map, None)
+        self.emulate_bounded(plan, device_map, None, None)
             .map(|outcome| outcome.expect("unbounded emulate always produces an outcome"))
     }
 
@@ -1254,27 +1172,23 @@ impl<'a> Planner<'a> {
     /// the candidate cannot beat a non-OOM incumbent (both are off in
     /// [`PlannerConfig::reference`] mode), `None` is returned — by
     /// [`metric_better`]'s rules such a candidate could never have been
-    /// accepted, so the search outcome is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors from the underlying run.
-    pub fn emulate_bounded(
+    /// accepted, so the search outcome is unchanged. `keyed` carries the
+    /// plan's [`cache_key`] and [`Planner::lower_bound`] when the caller
+    /// already has them (a popped frontier trial); otherwise they are
+    /// computed here, the bound only if a prune needs it.
+    fn emulate_bounded(
         &self,
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
         incumbent: Option<Metric>,
+        keyed: Option<(u64, Secs)>,
     ) -> Result<Option<(Metric, Option<OomEvent>)>, SimError> {
-        // The gate chain: memoization caches, static verifier, certified
-        // bounds, then a (possibly bound-and-abort) emulator window.
-        // Aborted windows are never cached: an abort certifies a loss
-        // against the gating incumbent, not an outcome.
-        let key = cache_key(plan, device_map);
+        // The gate chain: exact memo, shared memo, static verifier,
+        // certified bounds, then a (possibly bound-and-abort) emulator
+        // window. Aborted windows are never cached: an abort certifies a
+        // loss against the gating incumbent, not an outcome.
+        let key = keyed.map_or_else(|| cache_key(plan, device_map), |(key, _)| key);
         if let Some(outcome) = self.cache.lookup(key) {
-            return Ok(Some(outcome));
-        }
-        let ckey = canon_key(plan, device_map);
-        if let Some(outcome) = self.cache.lookup_canon(ckey, key, device_map) {
             return Ok(Some(outcome));
         }
         // Process-global view: outcomes another search computed for this
@@ -1317,7 +1231,7 @@ impl<'a> Planner<'a> {
             // Certified OOM (MP013): emulation is guaranteed to report
             // an OOM metric, which `metric_better` can never prefer over
             // a non-OOM incumbent.
-            if self.certified_oom(key, plan, device_map) {
+            if self.certified_oom(plan, device_map) {
                 self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
@@ -1325,7 +1239,7 @@ impl<'a> Planner<'a> {
             // candidate at up to 1.001x the incumbent (the host-traffic
             // tiebreak), so only candidates that cannot even tie are
             // pruned.
-            let lb = self.frontier_lb(key, plan, device_map);
+            let lb = keyed.map_or_else(|| self.lower_bound(plan, device_map), |(_, lb)| lb);
             if lb > best.makespan * 1.001 {
                 self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
@@ -1342,7 +1256,6 @@ impl<'a> Planner<'a> {
             RunOut::Aborted => Ok(None),
             RunOut::Done(outcome) => {
                 self.cache.insert(key, outcome);
-                self.cache.insert_canon(ckey, outcome, device_map);
                 if let Some((shared, scope)) = &self.shared {
                     shared.emu_insert(*scope, key, outcome);
                 }
@@ -1382,7 +1295,7 @@ impl<'a> Planner<'a> {
     ) -> Result<RunOut, SimError> {
         self.charge_cancel()?;
         self.cache.runs.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.with_arena(|arena| {
+        let outcome = self.arenas.with(|arena| {
             Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
                 .run_in_bounded(arena, bound)
         })?;
@@ -1403,19 +1316,13 @@ impl<'a> Planner<'a> {
         )))
     }
 
-    /// The analytic makespan lower bound for one candidate, memoized
-    /// under its structural `key`. Shared by the frontier ordering
-    /// (every candidate needs it) and the pruning gates (so a candidate
-    /// never pays the cost-profile walk twice).
-    fn frontier_lb(&self, key: u64, plan: &InstrumentationPlan, device_map: &DeviceMap) -> Secs {
-        if let Some(&lb) = self.cache.lb_memo.lock().expect("lb lock").get(&key) {
-            return lb;
-        }
-        let lb = self.with_arena(|arena| {
+    /// The analytic makespan lower bound for one candidate. It orders
+    /// the frontier and gates the makespan prune; a popped frontier
+    /// trial carries its bound to the gate instead of recomputing it.
+    fn lower_bound(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> Secs {
+        self.arenas.with(|arena| {
             arena.makespan_lower_bound(self.machine, &self.lowered.graph, plan, device_map)
-        });
-        self.cache.lb_memo.lock().expect("lb lock").insert(key, lb);
-        lb
+        })
     }
 
     /// Builds the emulator-verified replacement trials for one
@@ -1477,29 +1384,13 @@ impl<'a> Planner<'a> {
     }
 
     /// Whether the certified residency bounds prove one candidate OOM
-    /// (MP013), memoized under its structural `key` (see
-    /// `EmulationCache::bounds_memo`). The analyzer itself is built
-    /// lazily once per planner, like the verifier.
-    fn certified_oom(&self, key: u64, plan: &InstrumentationPlan, device_map: &DeviceMap) -> bool {
-        if let Some(&oom) = self
-            .cache
-            .bounds_memo
-            .lock()
-            .expect("bounds lock")
-            .get(&key)
-        {
-            return oom;
-        }
+    /// (MP013). The analyzer itself is built lazily once per planner,
+    /// like the verifier.
+    fn certified_oom(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> bool {
         let analyzer = self
             .bounds
             .get_or_init(|| BoundsAnalyzer::new(self.machine, &self.lowered.graph));
-        let oom = analyzer.certify(plan, device_map).verdict == BoundsVerdict::CertifiedOom;
-        self.cache
-            .bounds_memo
-            .lock()
-            .expect("bounds lock")
-            .insert(key, oom);
-        oom
+        analyzer.certify(plan, device_map).verdict == BoundsVerdict::CertifiedOom
     }
 }
 

@@ -16,10 +16,14 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== tests =="
-cargo test -q
+# --workspace: member crates carry their own unit and integration tests
+# (the planner's frontier tie-order pin, the plan cache's poisoning
+# test, the service's panic/line-cap tests, the worker-pool watchdogs)
+# that a bare `cargo test` on the root package never runs.
+cargo test -q --workspace
 
 echo "== clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== determinism source lints (mpress-lint) =="
 # Token-level wall-clock / hash-container / panic-site lints over the
