@@ -4,7 +4,7 @@
 //! path and prints the rows alongside.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpress::{Mpress, OptimizationSet};
+use mpress::{Mpress, OptimizationSet, PlannerConfig};
 use mpress_bench::experiments;
 use mpress_bench::jobs::{bert_job, gpt_job};
 use mpress_hw::{BandwidthCurve, Bytes, Machine};
@@ -80,7 +80,10 @@ fn bench_fig8_mpress_plan(c: &mut Criterion) {
     // One representative Fig. 8 cell: MPress planning + simulation on a
     // reduced job.
     c.bench_function("fig8_mpress_plan_and_train", |b| {
-        let mpress = Mpress::builder().job(small_job()).refine_iters(2).build();
+        let mpress = Mpress::builder()
+            .job(small_job())
+            .planner_config(PlannerConfig::default().refine_iters(2))
+            .build();
         b.iter(|| mpress.train().expect("valid").tflops)
     });
 }
@@ -106,7 +109,10 @@ fn bench_table3_costs(c: &mut Criterion) {
 fn bench_table4_planner(c: &mut Criterion) {
     // The full planner on a reduced job (Table IV machinery).
     c.bench_function("table4_planner", |b| {
-        let mpress = Mpress::builder().job(small_job()).refine_iters(2).build();
+        let mpress = Mpress::builder()
+            .job(small_job())
+            .planner_config(PlannerConfig::default().refine_iters(2))
+            .build();
         b.iter(|| mpress.plan().expect("valid").0.instrumentation.len())
     });
 }

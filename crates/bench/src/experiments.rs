@@ -294,8 +294,8 @@ pub fn fig9() -> Table {
                     .planner_config(cfg)
                     .build();
                 let report = mpress.train().expect("valid inputs");
-                let (plan, _) = mpress.plan().expect("valid inputs");
-                let rts: Vec<f64> = plan
+                let rts: Vec<f64> = report
+                    .plan
                     .instrumentation
                     .iter()
                     .filter_map(|(_, d)| match d {
@@ -598,7 +598,7 @@ pub fn sweeps() -> Table {
             .expect("valid");
         let report = Mpress::builder()
             .job(job)
-            .refine_iters(8)
+            .planner_config(PlannerConfig::default().refine_iters(8))
             .build()
             .train()
             .expect("valid inputs");

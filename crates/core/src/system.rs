@@ -304,10 +304,6 @@ pub struct MpressBuilder {
     job: Option<PipelineJob>,
     planner_config: Option<PlannerConfig>,
     optimizations: Option<OptimizationSet>,
-    headroom: Option<f64>,
-    refine_iters: Option<usize>,
-    striping: Option<bool>,
-    mapping_search: Option<bool>,
     metrics: bool,
     plan_cache: Option<PlanCache>,
     arena_pool: Option<ArenaPool>,
@@ -330,30 +326,6 @@ impl MpressBuilder {
     /// Selects the allowed techniques.
     pub fn optimizations(mut self, opts: OptimizationSet) -> Self {
         self.optimizations = Some(opts);
-        self
-    }
-
-    /// Sets the workspace headroom fraction.
-    pub fn headroom(mut self, headroom: f64) -> Self {
-        self.headroom = Some(headroom);
-        self
-    }
-
-    /// Caps emulator-verified refinement rounds.
-    pub fn refine_iters(mut self, iters: usize) -> Self {
-        self.refine_iters = Some(iters);
-        self
-    }
-
-    /// Toggles D2D data striping (Fig. 9 ablation).
-    pub fn striping(mut self, on: bool) -> Self {
-        self.striping = Some(on);
-        self
-    }
-
-    /// Toggles the device-mapping search (Fig. 9 ablation).
-    pub fn mapping_search(mut self, on: bool) -> Self {
-        self.mapping_search = Some(on);
         self
     }
 
@@ -414,18 +386,6 @@ impl MpressBuilder {
         let mut config = self.planner_config.unwrap_or_default();
         if let Some(opts) = self.optimizations {
             config.optimizations = opts;
-        }
-        if let Some(h) = self.headroom {
-            config.headroom = h;
-        }
-        if let Some(r) = self.refine_iters {
-            config.refine_iters = r;
-        }
-        if let Some(s) = self.striping {
-            config.striping = s;
-        }
-        if let Some(m) = self.mapping_search {
-            config.mapping_search = m;
         }
         Ok(Mpress {
             job,
@@ -490,13 +450,16 @@ mod tests {
 
     #[test]
     fn builder_overrides_apply() {
-        let m = Mpress::builder()
-            .job(job(8, 512))
-            .optimizations(OptimizationSet::recompute_only())
+        let config = PlannerConfig::default()
+            .optimizations(OptimizationSet::all())
             .headroom(0.1)
             .refine_iters(3)
             .striping(false)
-            .mapping_search(false)
+            .mapping_search(false);
+        let m = Mpress::builder()
+            .job(job(8, 512))
+            .planner_config(config)
+            .optimizations(OptimizationSet::recompute_only())
             .build();
         let c = m.planner_config();
         assert_eq!(c.optimizations, OptimizationSet::recompute_only());

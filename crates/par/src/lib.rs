@@ -4,11 +4,11 @@
 //! portfolio of independent variant searches, and the paper's evaluation
 //! is a large (model × machine × system) grid — both are embarrassingly
 //! parallel across variants/cells. The public surface is [`par_map`] /
-//! [`par_run`]: they deal `0..n` into a scoped work-stealing pool (the
-//! crate-private `Pool`; the caller works as lane 0, worker threads as
-//! lanes `1..width`, each popping its own deque's front or stealing
-//! another lane's back) and return the results **in input order**, so
-//! callers' tie-breaks and table layouts never depend on thread timing.
+//! [`par_run`]: a scoped fan-out where the caller works as lane 0,
+//! `width - 1` scoped threads work as lanes `1..width`, and every lane
+//! claims the next index of `0..n` from one shared counter until the
+//! batch is done. Results come back **in input order**, so callers'
+//! tie-breaks and table layouts never depend on thread timing.
 //!
 //! # Determinism contract
 //!
@@ -18,8 +18,7 @@
 //!   returned: `jobs=1` and `jobs=N` are byte-identical as long as the
 //!   mapped closure is a pure function of its input.
 //! * A panic in any task, on any lane, propagates out of `par_run` with
-//!   its original payload; a panic never leaves the call waiting on a
-//!   lane.
+//!   its original payload once every lane has stopped.
 //!
 //! # Choosing the worker count
 //!
@@ -27,19 +26,16 @@
 //! `MPRESS_JOBS` environment variable, then
 //! `std::thread::available_parallelism()`. Requests wider than the
 //! machine are clamped unless [`set_pool_unclamped`] allows
-//! oversubscription — benches use that to exercise stealing on small
-//! containers.
+//! oversubscription — stress tests use that to exercise real
+//! multi-lane interleavings on small containers.
 //!
 //! Batches smaller than [`SERIAL_CUTOFF`] run inline on the caller.
 
 #![forbid(unsafe_code)]
 
-use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Process-wide override installed by `--jobs` (0 = no override).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -56,10 +52,10 @@ static ACTIVE: AtomicU64 = AtomicU64::new(0);
 static UNCLAMPED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
-    /// The pool lane this thread runs as (0 = the scope's caller), or
-    /// `None` outside any pool scope. Nested parallel sections on a lane
-    /// run serially instead of multiplying the thread count; consumers
-    /// (the simulator's arena pool) use it to give each lane a warm arena.
+    /// The lane this thread runs as inside a parallel section (0 = the
+    /// `par_run` caller), or `None` outside one. Nested parallel
+    /// sections on a lane run serially instead of multiplying the
+    /// thread count.
     static LANE: Cell<Option<usize>> = const { Cell::new(None) };
     /// Nesting depth of busy sections on this thread. Only the
     /// outermost enter/exit touches [`ACTIVE`], so a serial parallel
@@ -68,12 +64,6 @@ thread_local! {
     /// as the single OS thread it is — `peak_workers` reports peak
     /// *concurrency*, not peak section depth.
     static BUSY_DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Mutex lock that treats poisoning as the fatal caller panic it
-/// reflects (tasks never run under a pool lock).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("mpress-par lock poisoned")
 }
 
 fn busy_enter() {
@@ -159,7 +149,7 @@ pub fn jobs() -> usize {
 }
 
 /// Batches below this size always run inline: the planner's feasibility
-/// iterations emit 1-2 candidates each, and starting a pool scope for
+/// iterations emit 1-2 candidates each, and spawning lanes for
 /// them costs more than the emulations themselves (the jobs=8 plan
 /// wall measurably exceeded jobs=1 before this cutoff).
 pub const SERIAL_CUTOFF: usize = 3;
@@ -168,7 +158,7 @@ pub const SERIAL_CUTOFF: usize = 3;
 /// detected hardware parallelism. Oversubscribing CPU-bound pure tasks
 /// normally only adds spawn and context-switch cost, so the clamp is
 /// the default; stress tests lift it to exercise real multi-worker
-/// interleavings (stealing, concurrent portfolio variants) on small
+/// interleavings (concurrent portfolio variants) on small
 /// machines. Results are identical at any width; only wall-clock and
 /// the peak-worker counter move.
 pub fn set_pool_unclamped(on: bool) {
@@ -177,7 +167,7 @@ pub fn set_pool_unclamped(on: bool) {
 
 /// The width a new parallel section resolves to *right now*: [`jobs`],
 /// clamped to the hardware thread count unless [`set_pool_unclamped`],
-/// and forced to 1 on every lane of a live pool scope so nested
+/// and forced to 1 on every lane of a running parallel section so nested
 /// sections never multiply the thread count (a portfolio variant
 /// planned inside a `par_map` task searches serially).
 pub fn pool_width() -> usize {
@@ -192,52 +182,45 @@ pub fn pool_width() -> usize {
     requested.min(hw).max(1)
 }
 
-/// The pool lane the current thread runs as: `Some(0)` on the thread
-/// running a parallel section's `par_run` call,
-/// `Some(1..)` on worker threads, `None` outside any pool scope.
-/// Lane identity is stable for the whole scope, so per-lane caches (the
-/// simulator's warm arenas) stay warm across tasks.
-pub fn current_lane() -> Option<usize> {
+/// The lane the current thread runs as: `Some(0)` on the thread
+/// running a parallel section's `par_run` call, `Some(1..)` on its
+/// scoped worker threads, `None` outside any parallel section.
+fn current_lane() -> Option<usize> {
     LANE.with(Cell::get)
 }
 
-/// Marks the current thread as busy pool lane `lane` until dropped and
-/// then restores its previous lane, on return or unwind alike.
-/// The lead's guard also holds its pool and flags shutdown on drop, so
-/// the workers exit even when the lead panics.
-struct LaneGuard<'p, 't> {
+/// Marks the current thread as busy lane `lane` until dropped and then
+/// restores its previous lane, on return or unwind alike.
+struct LaneGuard {
     prev_lane: Option<usize>,
-    lead_of: Option<&'p Pool<'t>>,
     _busy: Busy,
 }
 
-impl<'p, 't> LaneGuard<'p, 't> {
-    fn enter(lane: usize, lead_of: Option<&'p Pool<'t>>) -> Self {
+impl LaneGuard {
+    fn enter(lane: usize) -> Self {
         LaneGuard {
             prev_lane: LANE.with(|l| l.replace(Some(lane))),
-            lead_of,
             _busy: Busy::enter(),
         }
     }
 }
 
-impl Drop for LaneGuard<'_, '_> {
+impl Drop for LaneGuard {
     fn drop(&mut self) {
-        if let Some(pool) = self.lead_of {
-            pool.finish();
-        }
         LANE.with(|l| l.set(self.prev_lane));
     }
 }
 
-/// Runs `f(0..n)` across the pool and returns the results in index
-/// order. Serial when the resolved width is 1 or `n` is below the
+/// Runs `f(0..n)` across [`pool_width`] lanes and returns the results
+/// in index order. Serial when the resolved width is 1 or `n` is below the
 /// serial cutoff; panics in `f` propagate to the caller either way.
 ///
-/// Indices are dealt round-robin into the pool's lane deques and
-/// the caller works as lane 0 until they are empty; a lane that drains
-/// its own deque steals from the back of the others', so an uneven
-/// batch (one slow emulation among cheap ones) does not idle the rest.
+/// The caller works as lane 0 beside `width - 1` scoped threads, and
+/// each lane claims the next unclaimed index from one shared counter,
+/// so an uneven batch (one slow emulation among cheap ones) never idles
+/// the other lanes. A panicking task exhausts the counter, so no lane
+/// claims further work; the caller joins every thread and re-raises the
+/// first payload (its own lane's, else the lowest panicking worker's).
 pub fn par_run<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -252,19 +235,44 @@ where
         let _busy = Busy::enter();
         return (0..n).map(f).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let task = |i: u64| {
-        let out = f(i as usize);
-        *lock(&slots[i as usize]) = Some(out);
-    };
-    Pool::scope(width, &task, |pool| {
-        for i in 0..n {
-            pool.push(i as u64);
+    let next = AtomicUsize::new(0);
+    let lane = |id: usize| {
+        let _lane = LaneGuard::enter(id);
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(out) => done.push((i, out)),
+                Err(payload) => {
+                    next.store(n, Ordering::Relaxed);
+                    panic::resume_unwind(payload);
+                }
+            }
         }
-        while pool.help() {}
+    };
+    // Join each worker explicitly: the scope's implicit join would
+    // replace a worker's panic payload with a generic message.
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let lane = &lane;
+        let workers: Vec<_> = (1..width).map(|id| scope.spawn(move || lane(id))).collect();
+        let lead = panic::catch_unwind(AssertUnwindSafe(|| lane(0)));
+        std::iter::once(lead)
+            .chain(workers.into_iter().map(|w| w.join()))
+            .collect()
     });
-    let produced = |slot: &Mutex<Option<R>>| lock(slot).take().expect("every index ran once");
-    slots.iter().map(produced).collect()
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for outcome in outcomes {
+        for (i, out) in outcome.unwrap_or_else(|payload| panic::resume_unwind(payload)) {
+            slots[i] = Some(out);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index ran once"))
+        .collect()
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
@@ -277,166 +285,11 @@ where
     par_run(items.len(), |i| f(&items[i]))
 }
 
-/// The scoped work-stealing pool behind [`par_run`], carrying opaque
-/// `u64` task digests. Because tasks are data rather than closures, the
-/// one task closure borrows state declared *before* [`Pool::scope`],
-/// which keeps the whole crate `forbid(unsafe_code)`-clean. The pool
-/// makes no ordering promises about *completion*; `par_run` places
-/// results by index. See DESIGN.md §13.
-pub(crate) struct Pool<'t> {
-    task: &'t (dyn Fn(u64) + Sync),
-    deques: Vec<Mutex<VecDeque<u64>>>,
-    rr: AtomicUsize,
-    epoch: Mutex<u64>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    /// The first worker panic, held until the lead re-raises it.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl<'t> Pool<'t> {
-    /// Runs `lead` on the calling thread (lane 0) with `width - 1`
-    /// worker threads (lanes `1..width`) running `task` on every digest
-    /// they pop or steal, bumping the epoch after each. When `lead`
-    /// returns *or unwinds* the workers finish the task in hand and
-    /// exit; queued digests are dropped. A worker's panic stops the
-    /// pool and is re-raised on the lead by its next [`Pool::help`], or
-    /// when the scope joins. `width <= 1` spawns no threads: pushed
-    /// digests run only through `help`.
-    pub(crate) fn scope<R>(
-        width: usize,
-        task: &'t (dyn Fn(u64) + Sync),
-        lead: impl FnOnce(&Pool<'t>) -> R,
-    ) -> R {
-        let width = width.max(1);
-        let pool = Pool {
-            task,
-            deques: (0..width).map(|_| Mutex::new(VecDeque::new())).collect(),
-            rr: AtomicUsize::new(0),
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(width == 1),
-            panic: Mutex::new(None),
-        };
-        let out = std::thread::scope(|scope| {
-            let _lead = LaneGuard::enter(0, Some(&pool));
-            for lane in 1..width {
-                let pool = &pool;
-                scope.spawn(move || pool.work(lane));
-            }
-            lead(&pool)
-        });
-        pool.rethrow();
-        out
-    }
-
-    /// Enqueues one task digest (round-robin across lanes) and wakes
-    /// parked lanes.
-    pub(crate) fn push(&self, task: u64) {
-        let lane = self.rr.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        lock(&self.deques[lane]).push_back(task);
-        self.notify();
-    }
-
-    /// Runs one queued task on the lead's lane (its own deque first,
-    /// then a steal) and returns `true`, or returns `false` if every
-    /// deque is empty at this instant. Re-raises a worker's panic
-    /// first. Tasks run here do not bump the epoch: only parked
-    /// workers wait on it.
-    pub(crate) fn help(&self) -> bool {
-        self.rethrow();
-        match self.pop(0) {
-            Some(key) => {
-                (self.task)(key);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The current wake epoch. Snapshot it *before* checking for work:
-    /// `park` returns immediately if any notification landed after the
-    /// snapshot, so the check-then-park pattern never misses a wakeup.
-    fn epoch(&self) -> u64 {
-        *lock(&self.epoch)
-    }
-
-    /// The worker loop: run popped tasks until shutdown, parking when
-    /// the deques are dry. A task panic is caught, stored for the lead
-    /// and stops the pool.
-    fn work(&self, lane: usize) {
-        let _lane = LaneGuard::enter(lane, None);
-        loop {
-            let epoch = self.epoch();
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            match self.pop(lane) {
-                Some(key) => {
-                    let ran = panic::catch_unwind(AssertUnwindSafe(|| (self.task)(key)));
-                    if let Err(payload) = ran {
-                        lock(&self.panic).get_or_insert(payload);
-                        self.finish();
-                        return;
-                    }
-                    self.notify();
-                }
-                None => self.park(epoch),
-            }
-        }
-    }
-
-    /// Pops `lane`'s own deque front, else steals another lane's back.
-    /// The own-deque pop is its own statement so its guard
-    /// drops before a steal locks a neighbour's deque: holding both
-    /// would let two idle lanes deadlock on each other's locks.
-    fn pop(&self, lane: usize) -> Option<u64> {
-        let own = lock(&self.deques[lane]).pop_front();
-        own.or_else(|| {
-            let width = self.deques.len();
-            (1..width).find_map(|k| lock(&self.deques[(lane + k) % width]).pop_back())
-        })
-    }
-
-    /// Parks until the epoch advances past `seen` or shutdown is
-    /// flagged. The parked lane is not counted busy, so `peak_workers`
-    /// reflects genuinely concurrent work.
-    fn park(&self, seen: u64) {
-        busy_exit();
-        let mut epoch = lock(&self.epoch);
-        while *epoch == seen && !self.shutdown.load(Ordering::Relaxed) {
-            epoch = self.cv.wait(epoch).expect("mpress-par lock poisoned");
-        }
-        drop(epoch);
-        busy_enter();
-    }
-
-    /// Advances the epoch and wakes every parked lane. Runs in the
-    /// lead's drop guard, so it must not panic: a poisoned epoch is
-    /// still a valid counter.
-    fn notify(&self) {
-        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.cv.notify_all();
-    }
-
-    fn finish(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.notify();
-    }
-
-    /// Resumes a stored worker panic on the calling thread.
-    fn rethrow(&self) {
-        let payload = lock(&self.panic).take();
-        if let Some(payload) = payload {
-            panic::resume_unwind(payload);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::sync::{Mutex, MutexGuard};
     use std::time::Duration;
 
     /// Tests below mutate process-global knobs (`set_jobs`, the peak
@@ -444,7 +297,7 @@ mod tests {
     /// harness cannot interleave their windows.
     fn guard() -> MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
-        lock(&GUARD)
+        GUARD.lock().expect("test guard poisoned")
     }
 
     /// Runs `f` on a fresh thread and returns its outcome (`Err` holds a
@@ -516,13 +369,13 @@ mod tests {
     }
 
     #[test]
-    fn stealing_workers_never_deadlock() {
+    fn two_lane_batches_never_hang() {
         let _g = guard();
-        // Two lanes over four tasks drain their own deques and then
-        // steal from each other at nearly the same instant. A lane that
-        // still held its own deque lock while locking its neighbour's
-        // would deadlock ABBA within a few thousand batches; the
-        // watchdog turns that hang into a failure.
+        // Two lanes over four tasks race on the shared counter and
+        // finish at nearly the same instant, batch after batch. A lane
+        // that missed the end of a batch, or a join that waited on a
+        // lane with nothing left to claim, would hang; the watchdog
+        // turns that hang into a failure.
         const BATCHES: usize = 50_000;
         set_jobs(2);
         set_pool_unclamped(true);
@@ -609,15 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn lead_panic_releases_parked_workers() {
-        let _g = guard();
-        // The worker parks waiting for work that never comes; the lead's
-        // panic must still flag shutdown so the scope can join.
-        let out = within(10, || Pool::scope(2, &|_| {}, |_| panic!("lead panicked")));
-        assert_eq!(out, Err(Some("lead panicked")));
-    }
-
-    #[test]
     fn worker_panic_propagates_from_par_run() {
         let _g = guard();
         // Lane 0 keeps working until a worker lane has panicked, so the
@@ -644,35 +488,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_workers_steal_from_idle_lanes() {
+    fn a_slow_task_never_holds_back_the_rest_of_the_batch() {
         let _g = guard();
-        let done = AtomicUsize::new(0);
-        Pool::scope(2, &|_| _ = done.fetch_add(1, Ordering::Relaxed), |pool| {
-            for task in 0..100u64 {
-                pool.push(task);
-            }
-            // The lead never helps, so the single worker must steal
-            // every task dealt to lane 0.
-            while done.load(Ordering::Relaxed) < 100 {
-                std::thread::yield_now();
-            }
+        // Whichever lane claims index 0 waits in it until the other 99
+        // tasks have run, so the other lane must keep claiming work
+        // while the first is busy; a batch dealt up front would leave
+        // half of it stranded behind the slow task.
+        const N: usize = 100;
+        set_jobs(2);
+        set_pool_unclamped(true);
+        let out = within(10, || {
+            let done = AtomicUsize::new(0);
+            par_run(N, |i| {
+                if i == 0 {
+                    while done.load(Ordering::Relaxed) < N - 1 {
+                        std::thread::yield_now();
+                    }
+                }
+                done.fetch_add(1, Ordering::Relaxed);
+                i
+            })
         });
-        assert_eq!(done.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn pool_width_one_runs_lead_inline() {
-        let _g = guard();
-        let ran = AtomicUsize::new(0);
-        let out = Pool::scope(1, &|_| _ = ran.fetch_add(1, Ordering::Relaxed), |pool| {
-            assert_eq!((current_lane(), pool_width()), (Some(0), 1));
-            // No workers: pushed digests run only when the lead helps.
-            pool.push(0);
-            pool.push(1);
-            while pool.help() {}
-            7u32
-        });
-        assert_eq!((out, ran.load(Ordering::Relaxed)), (7, 2));
-        assert_eq!(current_lane(), None);
+        set_pool_unclamped(false);
+        set_jobs(0);
+        assert_eq!(out, Ok((0..N).collect::<Vec<_>>()));
     }
 }

@@ -12,6 +12,10 @@
 //!   stream queues, residency, event heap, ready-set) between runs, so a
 //!   steady-state `emulate()` call performs almost no heap traffic.
 //!
+//! [`ArenaPool`] shares arenas between concurrent callers through one
+//! free list: a checkout pops any idle arena, so a warm arena serves
+//! whichever thread asks next.
+//!
 //! The arena also hosts [`SimArena::makespan_lower_bound`], an analytic
 //! best-case bound the planner uses to skip emulating refinement
 //! candidates that cannot beat the incumbent (FlexFlow-style search
@@ -404,60 +408,18 @@ impl std::fmt::Debug for SimArena {
 #[derive(Debug, Default, Clone)]
 pub struct ArenaPool {
     free: std::sync::Arc<std::sync::Mutex<Vec<SimArena>>>,
-    /// Lane-affine slots: every lane of a parallel section — the
-    /// `par_run` caller as lane 0 and each worker thread — carries a
-    /// stable lane id (`mpress_par::current_lane`), and a lane that
-    /// keeps checking out *the same* arena keeps its graph tables, bound
-    /// DAG and task buffers cache-warm across the emulations of one
-    /// portfolio variant's serial frontier. Slots are
-    /// `try_lock`ed — when two concurrent searches collide on a lane id
-    /// the loser silently falls back to the free list, so affinity is
-    /// purely a wall-clock optimization.
-    lanes: std::sync::Arc<Vec<std::sync::Mutex<Option<SimArena>>>>,
 }
-
-/// Lane slots held by an [`ArenaPool`]; lanes at or above this fall
-/// back to the shared free list. Generously above any realistic
-/// `MPRESS_JOBS` width.
-const LANE_SLOTS: usize = 64;
 
 impl ArenaPool {
     /// An empty pool; arenas materialize on first checkout.
     pub fn new() -> Self {
-        ArenaPool {
-            free: std::sync::Arc::default(),
-            lanes: std::sync::Arc::new(
-                (0..LANE_SLOTS)
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect(),
-            ),
-        }
+        ArenaPool::default()
     }
 
     /// Checks an arena out (or makes a fresh one), runs `f`, and returns
-    /// the arena for the next window. Concurrent calls check out
-    /// distinct arenas, so `f` never contends on arena state. Threads
-    /// with a pool lane identity get a lane-affine arena (see
-    /// [`ArenaPool::lanes`]); everyone else shares the free list.
+    /// the arena to the free list for the next window. Concurrent calls
+    /// check out distinct arenas, so `f` never contends on arena state.
     pub fn with<T>(&self, f: impl FnOnce(&mut SimArena) -> T) -> T {
-        if let Some(lane) = mpress_par::current_lane() {
-            if let Some(slot) = self.lanes.get(lane) {
-                if let Ok(mut held) = slot.try_lock() {
-                    let mut arena = match held.take() {
-                        Some(arena) => arena,
-                        None => self
-                            .free
-                            .lock()
-                            .expect("arena pool lock")
-                            .pop()
-                            .unwrap_or_default(),
-                    };
-                    let out = f(&mut arena);
-                    *held = Some(arena);
-                    return out;
-                }
-            }
-        }
         let mut arena = self
             .free
             .lock()

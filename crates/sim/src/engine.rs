@@ -236,6 +236,12 @@ fn sid(dev: usize, kind: StreamKind) -> usize {
     dev * STREAMS_PER_DEV + kind as usize
 }
 
+/// Whether eviction number `count` is logged to stderr: the first 30
+/// and then every 500th, and only under `MPRESS_SIM_DEBUG`.
+fn logs_eviction(debug: bool, count: usize) -> bool {
+    debug && (count <= 30 || count.is_multiple_of(500))
+}
+
 /// Event-queue ordering for task completions. `BinaryHeap` breaks ties
 /// by whatever order equal keys were pushed, so the key must be a total
 /// order over *all* pending completions: time first, then stream kind
@@ -1226,7 +1232,7 @@ impl<'p> EngineState<'p> {
                 bytes: self.pre.bytes[i],
             });
         }
-        if verbosity().sim_debug && self.evictions <= 30 || self.evictions.is_multiple_of(500) {
+        if logs_eviction(verbosity().sim_debug, self.evictions) {
             eprintln!(
                 "[evict#{}] t={:.3}s tensor=t{i} bytes={} next={:?}",
                 self.evictions, self.clock, self.pre.bytes[i], next_consumer
@@ -1921,5 +1927,17 @@ impl<'p> EngineState<'p> {
             refetches: self.refetches as u64,
             recorder: recorder.snapshot(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::logs_eviction;
+
+    #[test]
+    fn eviction_log_needs_the_debug_flag() {
+        assert!((0..=2_000).all(|n| !logs_eviction(false, n)));
+        assert!(logs_eviction(true, 30) && logs_eviction(true, 500));
+        assert!(!logs_eviction(true, 31) && !logs_eviction(true, 501));
     }
 }

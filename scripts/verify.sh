@@ -18,7 +18,7 @@ cargo build --release --workspace
 echo "== tests =="
 # --workspace: member crates carry their own unit and integration tests
 # (the planner's frontier tie-order pin, the plan cache's poisoning
-# test, the service's panic/line-cap tests, the worker-pool watchdogs)
+# test, the service's panic/line-cap tests, the mpress-par watchdogs)
 # that a bare `cargo test` on the root package never runs.
 cargo test -q --workspace
 
