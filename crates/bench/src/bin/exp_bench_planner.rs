@@ -13,7 +13,9 @@
 //!  "cache_hit_rate": 0.1463, "verifier_rejections": 0, "bounds_pruned": 15,
 //!  "peak_workers": 1, "bound_aborts": 9,
 //!  "refinement_rounds": 28, "refine_candidates": [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1],
-//!  "zoo_wall_s": 3.2, "zoo_emulator_runs": 1053, "zoo": [
+//!  "trials_enqueued": 571, "bound_node_visits": 8000, "plan_emits": 60,
+//!  "zoo_wall_s": 3.2, "zoo_emulator_runs": 1053, "zoo_trials_enqueued": 12789,
+//!  "zoo_bound_node_visits": 24700000, "zoo_plan_emits": 14080, "zoo": [
 //!   {"model": "bert-0.35b", "machine": "dgx1", "emulator_runs": 1,
 //!    "refinement_rounds": 0, "makespan_s": 0.9, "tflops": 40.2, "wall_s": 0.004},
 //!   ...
@@ -25,12 +27,18 @@
 //! `makespan_s` and `tflops` are printed in full (shortest round-trip)
 //! precision, so equal text means equal bits.
 //!
+//! The work counts (`trials_enqueued`, `bound_node_visits`,
+//! `plan_emits`; see `SearchStats`) are a pure function of each search's
+//! trajectory, identical at every pool width: the reference job's and
+//! the zoo totals (`zoo_*`) are both recorded.
+//!
 //! `--check PATH` compares every deterministic field — the zoo rows
-//! without their walls, the zoo run total, and the reference search's
-//! `refinement_rounds`/`refine_candidates` — against the document at
-//! PATH, prints each difference and exits 1 (without writing) when any
-//! differs. The reference job's run and cache counters depend on the
-//! pool width, so they are reported, never compared.
+//! without their walls, the zoo run total, the work counts, and the
+//! reference search's `refinement_rounds`/`refine_candidates` — against
+//! the document at PATH, prints each difference and exits 1 (without
+//! writing) when any differs. The reference job's run and cache
+//! counters depend on the pool width, so they are reported, never
+//! compared.
 //!
 //! Pass `--out PATH` to redirect (default `BENCH_planner.json` in the
 //! working directory); `--jobs N` / `MPRESS_JOBS` select the reference
@@ -125,7 +133,8 @@ fn main() {
          \"cache_hit_rate\": {:.4}, \
          \"verifier_rejections\": {}, \"bounds_pruned\": {}, \
          \"peak_workers\": {}, \"bound_aborts\": {}, \
-         \"refinement_rounds\": {}, \"refine_candidates\": [{}],",
+         \"refinement_rounds\": {}, \"refine_candidates\": [{}], \
+         \"trials_enqueued\": {}, \"bound_node_visits\": {}, \"plan_emits\": {},",
         wall_s,
         plan.search.jobs,
         plan.search.emulator_runs,
@@ -136,23 +145,30 @@ fn main() {
         plan.search.peak_workers,
         plan.search.bound_aborts,
         plan.refinement_rounds,
-        candidates
+        candidates,
+        plan.search.trials_enqueued,
+        plan.search.bound_node_visits,
+        plan.search.plan_emits,
     );
     eprintln!(
         "reference planner wall {wall_s:.3}s at jobs={} (peak {} workers), \
          {} emulator runs, {} cache hits, {} bounds prunes, \
-         {} bound aborts",
+         {} bound aborts; {} trials enqueued, {} bound node visits, {} plan emits",
         plan.search.jobs,
         plan.search.peak_workers,
         plan.search.emulator_runs,
         plan.search.cache_hits,
         plan.search.bounds_pruned,
-        plan.search.bound_aborts
+        plan.search.bound_aborts,
+        plan.search.trials_enqueued,
+        plan.search.bound_node_visits,
+        plan.search.plan_emits,
     );
 
     mpress_par::set_jobs(1);
     let mut rows = Vec::new();
     let mut zoo_runs = 0;
+    let (mut zoo_trials, mut zoo_visits, mut zoo_emits) = (0, 0, 0);
     let ((), zoo_wall_s) = timed(|| {
         for (model, _) in names::model_catalog() {
             for machine in ["dgx1", "dgx2"] {
@@ -161,7 +177,11 @@ fn main() {
                 let report = outcome
                     .unwrap_or_else(|e| panic!("{model} x {machine} trains: {e}"))
                     .report;
-                zoo_runs += report.plan.search.emulator_runs;
+                let search = report.plan.search;
+                zoo_runs += search.emulator_runs;
+                zoo_trials += search.trials_enqueued;
+                zoo_visits += search.bound_node_visits;
+                zoo_emits += search.plan_emits;
                 rows.push(format!(
                     "  {{\"model\": \"{model}\", \"machine\": \"{machine}\", \
                      \"emulator_runs\": {}, \"refinement_rounds\": {}, \
@@ -175,10 +195,15 @@ fn main() {
         }
     });
     json.push_str(&format!(
-        " \"zoo_wall_s\": {zoo_wall_s:.3}, \"zoo_emulator_runs\": {zoo_runs}, \"zoo\": [\n{}\n]}}\n",
+        " \"zoo_wall_s\": {zoo_wall_s:.3}, \"zoo_emulator_runs\": {zoo_runs}, \
+         \"zoo_trials_enqueued\": {zoo_trials}, \"zoo_bound_node_visits\": {zoo_visits}, \
+         \"zoo_plan_emits\": {zoo_emits}, \"zoo\": [\n{}\n]}}\n",
         rows.join(",\n")
     ));
-    eprintln!("zoo: 20 jobs at jobs=1, {zoo_runs} emulator runs, wall {zoo_wall_s:.3}s");
+    eprintln!(
+        "zoo: 20 jobs at jobs=1, {zoo_runs} emulator runs, {zoo_trials} trials enqueued, \
+         {zoo_visits} bound node visits, {zoo_emits} plan emits, wall {zoo_wall_s:.3}s"
+    );
 
     if let Some((path, old)) = baseline {
         let new: Value = serde_json::from_str(&json).expect("the document just written is JSON");
@@ -215,13 +240,19 @@ fn main() {
 }
 
 /// The fields `--check` compares, labelled, in document order: the
-/// reference search's rounds and candidates, the zoo run total, and
-/// every zoo row's fields except its wall.
+/// reference search's rounds, candidates and work counts, the zoo
+/// totals, and every zoo row's fields except its wall.
 fn deterministic_fields(doc: &Value) -> Vec<(String, Option<Value>)> {
     let mut fields: Vec<(String, Option<Value>)> = [
         "refinement_rounds",
         "refine_candidates",
+        "trials_enqueued",
+        "bound_node_visits",
+        "plan_emits",
         "zoo_emulator_runs",
+        "zoo_trials_enqueued",
+        "zoo_bound_node_visits",
+        "zoo_plan_emits",
     ]
     .iter()
     .map(|&key| (key.to_owned(), doc.get(key).cloned()))
