@@ -167,15 +167,6 @@ impl TrainingGraph {
             .collect()
     }
 
-    /// Tensors of a given kind on a given stage.
-    pub fn stage_tensors(&self, stage: usize, kind: TensorKind) -> Vec<TensorId> {
-        self.tensors
-            .iter()
-            .filter(|t| t.stage == stage && t.kind == kind)
-            .map(|t| t.id)
-            .collect()
-    }
-
     /// Total bytes of all tensors on one stage.
     pub fn stage_bytes(&self, stage: usize) -> Bytes {
         self.tensors

@@ -54,20 +54,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA H100 SXM with 80 GB HBM3 (the paper's §V: "the latest GPU
-    /// has only 80GB HBM").
-    pub fn h100_80gb() -> Self {
-        GpuSpec {
-            name: "H100-80GB".to_owned(),
-            memory: Bytes::gib(80),
-            peak_flops_fp16: 989.0e12,
-            peak_flops_fp32: 67.0e12,
-            efficiency_fp16: 0.42,
-            efficiency_fp32: 0.75,
-            reserved: Bytes::mib(512),
-        }
-    }
-
     /// The Hopper GPU of a Grace-Hopper superchip: 96 GB HBM3 plus a
     /// dedicated 512 GB LPDDR5X CPU-side pool per GPU (paper §V).
     pub fn grace_hopper() -> Self {

@@ -69,11 +69,6 @@ impl Bytes {
         self.0 as f64
     }
 
-    /// This byte count expressed in mebibytes.
-    pub fn as_mib_f64(self) -> f64 {
-        self.as_f64() / (1024.0 * 1024.0)
-    }
-
     /// This byte count expressed in gibibytes.
     pub fn as_gib_f64(self) -> f64 {
         self.as_f64() / (1024.0 * 1024.0 * 1024.0)

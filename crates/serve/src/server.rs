@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Longest request line the daemon reads, newline excluded. Fixed, not
@@ -92,8 +92,18 @@ struct Shared {
 
 impl Shared {
     fn record(&self, f: impl FnOnce(&mut MetricsRecorder)) {
-        f(&mut self.metrics.lock().expect("metrics lock"));
+        f(&mut recover(&self.metrics));
     }
+}
+
+/// Locks `lock`, taking the guard back from a poisoned mutex: a panic
+/// while it was held (a request body runs under `catch_unwind`, but a
+/// connection thread can still die mid-update) must not take every
+/// later request down with it. The queue is a plain `VecDeque` and the
+/// recorder a set of counters, so a cut-short update leaves at worst
+/// one job or one increment missing, never a broken structure.
+fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running daemon. Dropping the handle shuts the daemon down.
@@ -212,9 +222,9 @@ fn run_batcher(shared: &Shared) {
     loop {
         let mut batch: Vec<Job> = Vec::new();
         {
-            let mut q = shared.queue.lock().expect("queue lock");
+            let mut q = recover(&shared.queue);
             while q.is_empty() && !shared.stop.load(Ordering::SeqCst) {
-                q = shared.ready.wait(q).expect("queue wait");
+                q = shared.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
             if shared.stop.load(Ordering::SeqCst) {
                 batch.extend(q.drain(..));
@@ -339,8 +349,8 @@ fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Re
 
 /// The `stats` response body: service counters plus cache statistics.
 fn stats_body(shared: &Shared) -> Value {
-    let depth = shared.queue.lock().expect("queue lock").len();
-    let mut m = shared.metrics.lock().expect("metrics lock");
+    let depth = recover(&shared.queue).len();
+    let mut m = recover(&shared.metrics);
     m.set_gauge("serve.queue_depth", depth as f64);
     m.set_gauge("serve.arenas_idle", shared.ctx.arenas.idle() as f64);
     let service = m.snapshot().to_json();
@@ -407,7 +417,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             Ok(request) => {
                 shared.record(|m| m.inc(&format!("serve.requests.{}", request.kind())));
                 let verdict = {
-                    let mut q = shared.queue.lock().expect("queue lock");
+                    let mut q = recover(&shared.queue);
                     if shared.stop.load(Ordering::SeqCst) {
                         Some(ServeError::Internal("server is shutting down".to_owned()))
                     } else if q.len() >= shared.queue_cap {
@@ -506,6 +516,38 @@ mod tests {
         }
         let stats = client.request(&Request::Stats).expect("stats after it");
         assert!(stats.result.is_ok(), "{:?}", stats.result);
+        server.shutdown();
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_silence_the_daemon() {
+        within(poisoned_locks_body);
+    }
+
+    fn poisoned_locks_body() {
+        let mut server = start(ServeConfig::default()).expect("binds");
+        // One thread dies holding the metrics lock, another the queue
+        // lock (the batcher is parked on the queue's condvar meanwhile).
+        for hold_metrics in [true, false] {
+            let shared = Arc::clone(&server.shared);
+            let died = thread::spawn(move || {
+                let _held = if hold_metrics {
+                    (Some(shared.metrics.lock()), None)
+                } else {
+                    (None, Some(shared.queue.lock()))
+                };
+                panic!("dies holding a daemon lock");
+            })
+            .join();
+            assert!(died.is_err());
+        }
+        assert!(server.shared.metrics.is_poisoned());
+        assert!(server.shared.queue.is_poisoned());
+        let mut client = Client::connect(server.addr()).expect("connects");
+        let stats = client.request(&Request::Stats).expect("stats");
+        assert!(stats.result.is_ok(), "{:?}", stats.result);
+        let planned = client.request(&plan("bert-0.35b")).expect("plan");
+        assert!(planned.result.is_ok(), "{:?}", planned.result);
         server.shutdown();
     }
 
