@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
+pub mod bound;
 pub mod device_map;
 pub mod engine;
 pub mod memory;
@@ -28,7 +29,8 @@ pub mod report;
 pub mod trace;
 pub mod viz;
 
-pub use arena::{ArenaPool, CostProfile, SimArena};
+pub use arena::{ArenaPool, SimArena};
+pub use bound::{BoundBase, CostProfile};
 pub use device_map::DeviceMap;
 pub use engine::{SimConfig, SimError, SimOutcome, Simulator};
 pub use metrics::{DeviceMetrics, LinkMetrics, SimMetrics, StreamBusy};

@@ -65,7 +65,8 @@ echo "== planner timing smoke-run + zoo plan table =="
 # JSON records the effective value alongside wall-clock and cache
 # counters. The 20 zoo jobs always run at jobs=1, and --check fails on
 # any deterministic field (per-job emulator runs, refinement rounds,
-# makespan, TFLOPS) that differs from the checked-in table. A change
+# makespan, TFLOPS, and the search work counts) that differs from the
+# checked-in table. A change
 # that is meant to move plans regenerates the table without --check and
 # lists every changed row.
 ./target/release/exp_bench_planner --check BENCH_planner.json --out BENCH_planner.json

@@ -103,20 +103,32 @@ fn reference_search_stays_within_its_run_budget() {
     // The reference search (Bert-1.67B x DGX-1 at jobs=1) pays one
     // emulator run per candidate that no cache or gate resolves, and
     // nothing else. The per-commit candidate counts pin the search
-    // trajectory the budget was measured on.
-    let _pool = pool_lock();
-    mpress_par::set_jobs(1);
-    let planned = Mpress::builder()
-        .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
-        .build()
-        .plan();
-    mpress_par::set_jobs(0);
-    let (plan, _) = planned.expect("valid inputs");
+    // trajectory the budget was measured on. Frontier trials are keyed
+    // and bounded from their changes, so a plan is emitted only for a
+    // feasibility round, a popped trial or a portfolio check, and the
+    // bounds visit a fraction of the 488,925 DAG nodes that one full
+    // pass per trial did. The work counts follow the trajectory alone,
+    // so they are the same at any worker count.
+    let plan_at = |jobs: usize| {
+        let _pool = pool_lock();
+        mpress_par::set_jobs(jobs);
+        let planned = Mpress::builder()
+            .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
+            .build()
+            .plan();
+        mpress_par::set_jobs(0);
+        planned.expect("valid inputs").0
+    };
+    let plan = plan_at(1);
     assert!(plan.search.emulator_runs <= 35, "{:?}", plan.search);
     assert_eq!(
         plan.refine_candidates,
         [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1]
     );
+    assert!(plan.search.bound_node_visits <= 72_067, "{:?}", plan.search);
+    assert_eq!(plan.search.plan_emits, 53, "{:?}", plan.search);
+    let work = |s: mpress::SearchStats| (s.trials_enqueued, s.bound_node_visits, s.plan_emits);
+    assert_eq!(work(plan_at(4).search), work(plan.search));
 }
 
 #[test]
