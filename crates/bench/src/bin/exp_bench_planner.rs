@@ -15,7 +15,8 @@
 //!  "refinement_rounds": 28, "refine_candidates": [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1],
 //!  "trials_enqueued": 571, "bound_node_visits": 8000, "plan_emits": 60,
 //!  "zoo_wall_s": 3.2, "zoo_emulator_runs": 1053, "zoo_trials_enqueued": 12789,
-//!  "zoo_bound_node_visits": 24700000, "zoo_plan_emits": 14080, "zoo": [
+//!  "zoo_bound_node_visits": 24700000, "zoo_plan_emits": 14080,
+//!  "zoo_stream_visits": 8000000, "zoo": [
 //!   {"model": "bert-0.35b", "machine": "dgx1", "emulator_runs": 1,
 //!    "refinement_rounds": 0, "makespan_s": 0.9, "tflops": 40.2, "wall_s": 0.004},
 //!   ...
@@ -30,7 +31,10 @@
 //! The work counts (`trials_enqueued`, `bound_node_visits`,
 //! `plan_emits`; see `SearchStats`) are a pure function of each search's
 //! trajectory, identical at every pool width: the reference job's and
-//! the zoo totals (`zoo_*`) are both recorded.
+//! the zoo totals (`zoo_*`) are both recorded. `zoo_stream_visits` sums
+//! the engine's start-pass stream visits over the zoo searches' windows;
+//! like the run counts it is recorded for the zoo (planned at jobs=1)
+//! only.
 //!
 //! `--check PATH` compares every deterministic field — the zoo rows
 //! without their walls, the zoo run total, the work counts, and the
@@ -168,7 +172,7 @@ fn main() {
     mpress_par::set_jobs(1);
     let mut rows = Vec::new();
     let mut zoo_runs = 0;
-    let (mut zoo_trials, mut zoo_visits, mut zoo_emits) = (0, 0, 0);
+    let (mut zoo_trials, mut zoo_visits, mut zoo_emits, mut zoo_streams) = (0, 0, 0, 0);
     let ((), zoo_wall_s) = timed(|| {
         for (model, _) in names::model_catalog() {
             for machine in ["dgx1", "dgx2"] {
@@ -182,6 +186,7 @@ fn main() {
                 zoo_trials += search.trials_enqueued;
                 zoo_visits += search.bound_node_visits;
                 zoo_emits += search.plan_emits;
+                zoo_streams += search.stream_visits;
                 rows.push(format!(
                     "  {{\"model\": \"{model}\", \"machine\": \"{machine}\", \
                      \"emulator_runs\": {}, \"refinement_rounds\": {}, \
@@ -197,12 +202,14 @@ fn main() {
     json.push_str(&format!(
         " \"zoo_wall_s\": {zoo_wall_s:.3}, \"zoo_emulator_runs\": {zoo_runs}, \
          \"zoo_trials_enqueued\": {zoo_trials}, \"zoo_bound_node_visits\": {zoo_visits}, \
-         \"zoo_plan_emits\": {zoo_emits}, \"zoo\": [\n{}\n]}}\n",
+         \"zoo_plan_emits\": {zoo_emits}, \"zoo_stream_visits\": {zoo_streams}, \
+         \"zoo\": [\n{}\n]}}\n",
         rows.join(",\n")
     ));
     eprintln!(
         "zoo: 20 jobs at jobs=1, {zoo_runs} emulator runs, {zoo_trials} trials enqueued, \
-         {zoo_visits} bound node visits, {zoo_emits} plan emits, wall {zoo_wall_s:.3}s"
+         {zoo_visits} bound node visits, {zoo_emits} plan emits, {zoo_streams} stream visits, \
+         wall {zoo_wall_s:.3}s"
     );
 
     if let Some((path, old)) = baseline {
@@ -253,6 +260,7 @@ fn deterministic_fields(doc: &Value) -> Vec<(String, Option<Value>)> {
         "zoo_trials_enqueued",
         "zoo_bound_node_visits",
         "zoo_plan_emits",
+        "zoo_stream_visits",
     ]
     .iter()
     .map(|&key| (key.to_owned(), doc.get(key).cloned()))

@@ -6,13 +6,16 @@
 //! be NVLink neighbours, ideally over double lanes. The search enumerates
 //! stage→device permutations, assigns donor spare memory to reachable
 //! exporters, and scores each candidate by the reciprocal of the slowest
-//! exporter's D2D drain time — exactly the paper's scoring rule.
+//! exporter's D2D drain time — exactly the paper's scoring rule. Two
+//! permutations that differ by a lane-preserving relabeling of the GPUs
+//! score the same, so the walk scores one per class (DGX-1: 8!/16 =
+//! 2,520 of 40,320) and still returns the exhaustive walk's winner.
 //!
 //! On *symmetric* fabrics (DGX-2/NVSwitch) every mapping is equivalent, so
 //! the search degenerates to the identity map (the paper "randomly maps
 //! stages to devices" there).
 
-use mpress_hw::{Bytes, DeviceId, Machine, TopologyKind, NVLINK2_LANE_BW, PCIE3_X16_BW};
+use mpress_hw::{Bytes, DeviceId, Machine, Topology, TopologyKind, NVLINK2_LANE_BW, PCIE3_X16_BW};
 use mpress_sim::DeviceMap;
 use serde::{Deserialize, Serialize};
 
@@ -53,32 +56,81 @@ impl<'a> MappingSearch<'a> {
     /// leave each stage) and `spare` (bytes each stage can donate).
     ///
     /// Returns the chosen map, the resulting donor assignment and the
-    /// winning score.
+    /// winning score: the first permutation, in the walk's visit order,
+    /// with the maximal score. The walk visits one permutation per
+    /// orbit of the lane automorphisms (see `permute_orbits`), which
+    /// picks the same winner as visiting all n! of them.
     ///
     /// # Panics
     ///
     /// Panics if `overflow` and `spare` lengths differ or exceed the GPU
     /// count.
     pub fn search(&self, overflow: &[Bytes], spare: &[Bytes]) -> (DeviceMap, SpareAssignment, f64) {
+        let n = self.stage_count(overflow, spare);
+        // On a switched fabric every mapping is equivalent; without
+        // overflow every permutation scores infinity, so the first one
+        // visited, the identity, wins.
+        if self.machine.topology().kind() == TopologyKind::Symmetric
+            || overflow.iter().all(|o| o.is_zero())
+        {
+            return self.identity_choice(overflow, spare);
+        }
+        let auts = lane_automorphisms(self.machine.topology(), n);
+        self.best_permutation(overflow, spare, |perm, visit| {
+            permute_orbits(perm, &auts, visit)
+        })
+    }
+
+    /// [`search`](Self::search) over all n! permutations: the oracle the
+    /// orbit walk is tested against.
+    #[cfg(test)]
+    fn search_exhaustive(
+        &self,
+        overflow: &[Bytes],
+        spare: &[Bytes],
+    ) -> (DeviceMap, SpareAssignment, f64) {
+        self.stage_count(overflow, spare);
+        if self.machine.topology().kind() == TopologyKind::Symmetric {
+            return self.identity_choice(overflow, spare);
+        }
+        self.best_permutation(overflow, spare, |perm, visit| permute(perm, 0, visit))
+    }
+
+    fn stage_count(&self, overflow: &[Bytes], spare: &[Bytes]) -> usize {
         assert_eq!(overflow.len(), spare.len(), "per-stage arrays must align");
-        let n = overflow.len();
         assert!(
-            n <= self.machine.gpu_count(),
+            overflow.len() <= self.machine.gpu_count(),
             "more stages than GPUs on {}",
             self.machine.name()
         );
-        let identity = DeviceMap::identity(n);
-        if self.machine.topology().kind() == TopologyKind::Symmetric {
-            let assignment = self.assign_spare(&identity, overflow, spare);
-            let score = self.score_assignment(&identity, overflow, &assignment);
-            return (identity, assignment, score);
-        }
-        let mut best_assignment = self.assign_spare(&identity, overflow, spare);
-        let mut best_score = self.score_assignment(&identity, overflow, &best_assignment);
+        overflow.len()
+    }
+
+    fn identity_choice(
+        &self,
+        overflow: &[Bytes],
+        spare: &[Bytes],
+    ) -> (DeviceMap, SpareAssignment, f64) {
+        let identity = DeviceMap::identity(overflow.len());
+        let assignment = self.assign_spare(&identity, overflow, spare);
+        let score = self.score_assignment(&identity, overflow, &assignment);
+        (identity, assignment, score)
+    }
+
+    /// Scores every permutation `walk` visits (its first visit must be
+    /// the identity) and keeps the first one with the maximal score.
+    fn best_permutation(
+        &self,
+        overflow: &[Bytes],
+        spare: &[Bytes],
+        walk: impl FnOnce(&mut [usize], &mut dyn FnMut(&[usize])),
+    ) -> (DeviceMap, SpareAssignment, f64) {
+        let n = overflow.len();
+        let (identity, mut best_assignment, mut best_score) = self.identity_choice(overflow, spare);
         let mut best_perm: Vec<usize> = (0..n).collect();
-        // Enumerating n! permutations dominates planning cost when each
-        // candidate materializes a full `SpareAssignment`. Instead, score
-        // every permutation allocation-free against precomputed
+        // Scoring thousands of permutations dominates planning cost when
+        // each candidate materializes a full `SpareAssignment`. Instead,
+        // score every visited permutation allocation-free against precomputed
         // device-pair tables (budgets and lane counts are integer sums,
         // so the flat scorer reproduces `score_assignment` exactly) and
         // rebuild the winning assignment once at the end.
@@ -115,7 +167,7 @@ impl<'a> MappingSearch<'a> {
         let mut budget = vec![0u64; n];
         let mut lane_sum = vec![0u32; n];
         let mut perm: Vec<usize> = (0..n).collect();
-        permute(&mut perm, 0, &mut |p| {
+        walk(&mut perm, &mut |p| {
             for &(e, _, _) in &exporters {
                 budget[e] = 0;
                 lane_sum[e] = 0;
@@ -161,7 +213,7 @@ impl<'a> MappingSearch<'a> {
         });
         let best_map = DeviceMap::from_vec(best_perm.iter().map(|&d| DeviceId(d)).collect())
             .expect("permutation is bijective");
-        if best_map != DeviceMap::identity(n) {
+        if best_map != identity {
             best_assignment = self.assign_spare(&best_map, overflow, spare);
         }
         (best_map, best_assignment, best_score)
@@ -259,8 +311,88 @@ impl<'a> MappingSearch<'a> {
     }
 }
 
-/// Heap's-style recursive permutation visitor.
-fn permute(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
+/// The lane automorphisms of devices `0..n`: every bijection `s` with
+/// `lanes(s(a), s(b)) == lanes(a, b)`, found by backtracking, identity
+/// first. Reachability is `lanes > 0`, so each one also preserves it,
+/// and relabeling a mapping's devices by one leaves its score unchanged
+/// bit for bit. DGX-1 at n = 8 has 16.
+fn lane_automorphisms(topo: &Topology, n: usize) -> Vec<Vec<usize>> {
+    let lanes: Vec<Vec<u32>> = (0..n)
+        .map(|a| {
+            (0..n)
+                .map(|b| topo.nvlink_lanes(DeviceId(a), DeviceId(b)))
+                .collect()
+        })
+        .collect();
+    let mut found = Vec::new();
+    let mut image = Vec::with_capacity(n);
+    extend_automorphism(&lanes, &mut image, &mut found);
+    found
+}
+
+/// Extends the partial automorphism `image` (`image[j]` = image of
+/// device `j`) in every lane-preserving way.
+fn extend_automorphism(lanes: &[Vec<u32>], image: &mut Vec<usize>, found: &mut Vec<Vec<usize>>) {
+    let k = image.len();
+    if k == lanes.len() {
+        found.push(image.clone());
+        return;
+    }
+    for d in 0..lanes.len() {
+        // The lane matrix is symmetric, so checking one direction of
+        // every pair with an already-mapped device suffices.
+        if !image.contains(&d) && (0..k).all(|j| lanes[d][image[j]] == lanes[k][j]) {
+            image.push(d);
+            extend_automorphism(lanes, image, found);
+            image.pop();
+        }
+    }
+}
+
+/// Visits one permutation of `items` per orbit of the automorphism
+/// group `auts` acting on its values, in the order `permute` visits
+/// them. At each level a candidate is skipped when an automorphism that
+/// fixes the chosen prefix maps it to a candidate tried earlier at the
+/// same level: every permutation below it has an equal-scoring image
+/// below that earlier candidate, visited first. So the first permutation
+/// with the maximal score is never skipped.
+fn permute_orbits(items: &mut [usize], auts: &[Vec<usize>], visit: &mut dyn FnMut(&[usize])) {
+    let all: Vec<usize> = (0..auts.len()).collect();
+    orbit_level(items, 0, auts, &all, visit);
+}
+
+/// One level of [`permute_orbits`]; `stab` indexes the automorphisms
+/// that fix `items[..k]` pointwise.
+fn orbit_level(
+    items: &mut [usize],
+    k: usize,
+    auts: &[Vec<usize>],
+    stab: &[usize],
+    visit: &mut dyn FnMut(&[usize]),
+) {
+    if k == items.len() {
+        visit(items);
+        return;
+    }
+    // Values tried at this level; stage counts never reach 64.
+    let mut tried = 0u64;
+    for i in k..items.len() {
+        let v = items[i];
+        let skip = stab.iter().any(|&s| tried & (1 << auts[s][v]) != 0);
+        tried |= 1 << v;
+        if skip {
+            continue;
+        }
+        let fixing: Vec<usize> = stab.iter().copied().filter(|&s| auts[s][v] == v).collect();
+        items.swap(k, i);
+        orbit_level(items, k + 1, auts, &fixing, visit);
+        items.swap(k, i);
+    }
+}
+
+/// Heap's-style recursive permutation visitor over all n! orderings.
+#[cfg(test)]
+fn permute(items: &mut [usize], k: usize, visit: &mut dyn FnMut(&[usize])) {
     if k == items.len() {
         visit(items);
         return;
@@ -283,6 +415,73 @@ mod tests {
         let mut v = vec![0, 1, 2, 3];
         permute(&mut v, 0, &mut |_| seen += 1);
         assert_eq!(seen, 24);
+    }
+
+    /// SplitMix64, for seeded random test vectors.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Per-stage bytes: zero with probability 1/2, else up to 16 GiB.
+    fn random_bytes(state: &mut u64, n: usize) -> Vec<Bytes> {
+        (0..n)
+            .map(|_| match next(state) % 2 {
+                0 => Bytes::ZERO,
+                _ => Bytes(1 + next(state) % Bytes::gib(16).as_u64()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dgx1_has_sixteen_lane_automorphisms_and_2520_orbit_leaves() {
+        let machine = Machine::dgx1();
+        let auts = lane_automorphisms(machine.topology(), 8);
+        assert_eq!(auts.len(), 16);
+        assert_eq!(auts[0], (0..8).collect::<Vec<_>>());
+        let mut leaves = 0;
+        let mut perm: Vec<usize> = (0..8).collect();
+        permute_orbits(&mut perm, &auts, &mut |_| leaves += 1);
+        assert_eq!(leaves, 40_320 / 16);
+        // With only the identity, the orbit walk is the full walk.
+        let (mut orbit, mut full) = (Vec::new(), Vec::new());
+        let mut perm: Vec<usize> = (0..5).collect();
+        permute_orbits(&mut perm, &[(0..5).collect()], &mut |p| {
+            orbit.push(p.to_vec())
+        });
+        permute(&mut perm, 0, &mut |p| full.push(p.to_vec()));
+        assert_eq!(orbit, full);
+    }
+
+    #[test]
+    fn orbit_walk_picks_the_exhaustive_winner() {
+        let mut state = 0x5eed_u64;
+        let mut non_identity = 0;
+        for case in 0..70 {
+            let machine = if case % 5 == 4 {
+                Machine::dgx2()
+            } else {
+                Machine::dgx1()
+            };
+            let n = 2 + case % 7;
+            let overflow = random_bytes(&mut state, n);
+            let spare = random_bytes(&mut state, n);
+            let search = MappingSearch::new(&machine);
+            let (map, assignment, score) = search.search(&overflow, &spare);
+            let (want_map, want_assignment, want_score) =
+                search.search_exhaustive(&overflow, &spare);
+            assert_eq!(map, want_map, "case {case}: {overflow:?} / {spare:?}");
+            assert_eq!(assignment, want_assignment, "case {case}");
+            assert_eq!(score.to_bits(), want_score.to_bits(), "case {case}");
+            non_identity += usize::from(map != DeviceMap::identity(n));
+        }
+        assert!(
+            non_identity >= 20,
+            "only {non_identity} non-identity winners"
+        );
     }
 
     #[test]

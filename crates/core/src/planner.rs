@@ -254,6 +254,10 @@ pub struct SearchStats {
     pub bound_node_visits: usize,
     /// Choice vectors materialized into an `InstrumentationPlan`.
     pub plan_emits: usize,
+    /// Streams the engine's start passes visited, summed over the
+    /// search's simulator windows (aborted ones up to the abort). The
+    /// profiling run is not a window and is not counted.
+    pub stream_visits: usize,
 }
 
 impl SearchStats {
@@ -359,6 +363,7 @@ struct EmulationCache {
     trials_enqueued: AtomicUsize,
     bound_node_visits: AtomicUsize,
     plan_emits: AtomicUsize,
+    stream_visits: AtomicUsize,
 }
 
 /// What one emulator window reports back to the search.
@@ -783,6 +788,7 @@ impl<'a> Planner<'a> {
             trials_enqueued: self.cache.trials_enqueued.load(Ordering::Relaxed),
             bound_node_visits: self.cache.bound_node_visits.load(Ordering::Relaxed),
             plan_emits: self.cache.plan_emits.load(Ordering::Relaxed),
+            stream_visits: self.cache.stream_visits.load(Ordering::Relaxed),
         }
     }
 
@@ -810,7 +816,9 @@ impl<'a> Planner<'a> {
     ///
     /// Propagates simulator errors from profiling or emulator runs.
     pub fn plan(&self) -> Result<MpressPlan, SimError> {
-        let profile = Profile::collect(self.machine, self.job, self.lowered)?;
+        let profile = self
+            .arenas
+            .with(|arena| Profile::collect_in(self.machine, self.job, self.lowered, arena))?;
         let opts = self.config.optimizations;
         let mut variants: Vec<OptimizationSet> = vec![opts];
         if opts.d2d && (opts.recompute || opts.host_swap) {
@@ -1558,8 +1566,15 @@ impl<'a> Planner<'a> {
         self.charge_cancel()?;
         self.cache.runs.fetch_add(1, Ordering::Relaxed);
         let outcome = self.arenas.with(|arena| {
-            Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
-                .run_in_bounded(arena, bound)
+            let outcome =
+                Simulator::new(self.machine, &self.lowered.graph, plan, device_map.clone())
+                    .run_in_bounded(arena, bound);
+            if outcome.is_ok() {
+                self.cache
+                    .stream_visits
+                    .fetch_add(arena.stream_visits(), Ordering::Relaxed);
+            }
+            outcome
         })?;
         let report = match outcome {
             SimOutcome::Completed(report) => report,

@@ -11,7 +11,7 @@ use mpress_compaction::InstrumentationPlan;
 use mpress_graph::{LivenessAnalysis, OpKind, TensorId, TensorKind};
 use mpress_hw::{Bytes, Machine, Secs};
 use mpress_pipeline::{LoweredJob, PipelineJob};
-use mpress_sim::{DeviceMap, SimConfig, SimError, SimReport, Simulator};
+use mpress_sim::{DeviceMap, SimArena, SimConfig, SimError, SimReport, Simulator};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -94,6 +94,22 @@ impl Profile {
         job: &PipelineJob,
         lowered: &LoweredJob,
     ) -> Result<Profile, SimError> {
+        Profile::collect_in(machine, job, lowered, &mut SimArena::new())
+    }
+
+    /// [`collect`](Self::collect), running the profiling window inside a
+    /// reusable [`SimArena`] (a planner's, whose windows then find the
+    /// graph tables already built).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`collect`](Self::collect).
+    pub fn collect_in(
+        machine: &Machine,
+        job: &PipelineJob,
+        lowered: &LoweredJob,
+        arena: &mut SimArena,
+    ) -> Result<Profile, SimError> {
         let plan = InstrumentationPlan::new();
         let baseline = Simulator::new(
             machine,
@@ -102,7 +118,7 @@ impl Profile {
             DeviceMap::identity(lowered.graph.n_stages()),
         )
         .with_config(SimConfig::default().strict_oom(false).memory_gate(false))
-        .run()?;
+        .run_in(arena)?;
         let liveness = LivenessAnalysis::compute(&lowered.graph, &baseline.op_start);
         let classes = build_classes(job, lowered, &liveness, &baseline);
         Ok(Profile {

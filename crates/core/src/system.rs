@@ -219,7 +219,8 @@ impl Mpress {
         self.simulate(&plan, &lowered)
     }
 
-    /// Simulates a (possibly externally supplied) plan.
+    /// Simulates a (possibly externally supplied) plan, in an arena of
+    /// the attached [`ArenaPool`] when there is one.
     ///
     /// # Errors
     ///
@@ -229,14 +230,17 @@ impl Mpress {
         plan: &MpressPlan,
         lowered: &LoweredJob,
     ) -> Result<TrainingReport, MpressError> {
-        let report = Simulator::new(
+        let sim = Simulator::new(
             self.machine(),
             &lowered.graph,
             &plan.instrumentation,
             plan.device_map.clone(),
         )
-        .with_config(SimConfig::default().metrics(self.metrics))
-        .run()?;
+        .with_config(SimConfig::default().metrics(self.metrics));
+        let report = match &self.arena_pool {
+            Some(pool) => pool.with(|arena| sim.run_in(arena)),
+            None => sim.run(),
+        }?;
         // A job that overflows immediately never processes a sample.
         let (throughput, tflops) = if report.makespan > 0.0 && report.oom.is_none() {
             (
@@ -349,7 +353,8 @@ impl MpressBuilder {
     }
 
     /// Shares a simulation [`ArenaPool`] across `Mpress` instances so
-    /// emulator windows reuse prebuilt graph tables process-wide.
+    /// the profiling run, emulator windows and [`Mpress::simulate`]
+    /// reuse prebuilt graph tables process-wide.
     pub fn arena_pool(mut self, pool: ArenaPool) -> Self {
         self.arena_pool = Some(pool);
         self

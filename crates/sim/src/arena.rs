@@ -259,6 +259,7 @@ pub(crate) struct Buffers {
     pub(crate) tasks: Vec<crate::engine::Task>,
     pub(crate) streams: Vec<crate::engine::Stream>,
     pub(crate) dirty: BitSet,
+    pub(crate) cursor_watchers: BitSet,
     pub(crate) ready_set: BitSet,
     pub(crate) heap: std::collections::BinaryHeap<std::cmp::Reverse<crate::engine::CompletionKey>>,
     pub(crate) residency: Vec<crate::engine::Loc>,
@@ -292,6 +293,8 @@ pub(crate) struct Buffers {
 pub struct SimArena {
     pub(crate) prebuilt: Option<Prebuilt>,
     buffers: Buffers,
+    /// Start-pass stream visits of the last run.
+    stream_visits: usize,
     pub(crate) bound: BoundScratch,
 }
 
@@ -379,8 +382,17 @@ impl SimArena {
         std::mem::take(&mut self.buffers)
     }
 
-    pub(crate) fn put_buffers(&mut self, buffers: Buffers) {
+    pub(crate) fn put_buffers(&mut self, buffers: Buffers, stream_visits: usize) {
         self.buffers = buffers;
+        self.stream_visits = stream_visits;
+    }
+
+    /// Streams the start passes of the last run in this arena visited:
+    /// a deterministic measure of the engine's scheduling work, kept
+    /// out of [`crate::SimReport`] so reports stay comparable with the
+    /// full-scan engine's.
+    pub fn stream_visits(&self) -> usize {
+        self.stream_visits
     }
 }
 

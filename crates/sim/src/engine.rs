@@ -449,13 +449,15 @@ impl<'a> Simulator<'a> {
             self.config,
             bufs,
         )?;
-        if let Some(exceeded_at) = state.run(self.config.strict_oom, bound) {
-            arena.put_buffers(state.recycle());
+        let exceeded = state.run(self.config.strict_oom, bound);
+        let visits = state.stream_visits;
+        if let Some(exceeded_at) = exceeded {
+            arena.put_buffers(state.recycle(), visits);
             let bound = bound.unwrap_or(f64::INFINITY);
             return Ok(SimOutcome::BoundExceeded { bound, exceeded_at });
         }
         let (result, bufs) = state.into_report(self.graph);
-        arena.put_buffers(bufs);
+        arena.put_buffers(bufs, visits);
         result.map(SimOutcome::Completed)
     }
 
@@ -711,6 +713,15 @@ struct EngineState<'p> {
     /// in ascending id order; every event that could enable a start
     /// marks one.
     dirty: BitSet,
+    /// Bit `dev * gpu_count + w` is set once device `w`'s copy-in stream
+    /// holds a task admitted against device `dev`'s compute cursor. A
+    /// compute start on `dev` wakes only those copy-in streams: it
+    /// otherwise only allocates memory, which never makes a stream
+    /// startable, and advances its own cursor, which only admission
+    /// gates read.
+    cursor_watchers: BitSet,
+    /// Streams the start passes visited, for [`SimArena::stream_visits`].
+    stream_visits: usize,
     /// Every task with `is_ready()` true, ordered by task id — the
     /// indexed replacement for the quiescent full-task blocked scan.
     ready_set: BitSet,
@@ -818,6 +829,9 @@ impl<'p> EngineState<'p> {
         }
         triggers.resize_with(n_ops, Vec::new);
         triggers.truncate(n_ops);
+        let gpu_count = machine.gpu_count();
+        let mut cursor_watchers = std::mem::take(&mut bufs.cursor_watchers);
+        cursor_watchers.clear_resize(gpu_count * gpu_count);
         let mut specs = Vec::new();
         plan_legs(
             machine,
@@ -858,6 +872,9 @@ impl<'p> EngineState<'p> {
                     tasks[tid].trigger_fired = false;
                     triggers[anchor].push(tid);
                     tasks[tid].admit = spec.admit;
+                    if let Some((dev, _)) = spec.admit {
+                        cursor_watchers.insert(dev * gpu_count + home[spec.tensor.index()].index());
+                    }
                 }
                 tasks[tid].dependents.push(c);
                 tasks[tid].priority = c;
@@ -875,7 +892,7 @@ impl<'p> EngineState<'p> {
         }
 
         // --- Streams ----------------------------------------------------------
-        let n_sids = machine.gpu_count() * STREAMS_PER_DEV;
+        let n_sids = gpu_count * STREAMS_PER_DEV;
         let mut streams = std::mem::take(&mut bufs.streams);
         for s in streams.iter_mut() {
             s.queue.clear();
@@ -976,6 +993,8 @@ impl<'p> EngineState<'p> {
             tasks,
             streams,
             dirty,
+            cursor_watchers,
+            stream_visits: 0,
             ready_set,
             heap,
             clock: 0.0,
@@ -999,7 +1018,7 @@ impl<'p> EngineState<'p> {
             pcie_curve: *machine.pcie(),
             trace: config.trace.then(Vec::new),
             metrics: config.metrics,
-            gpu_count: machine.gpu_count(),
+            gpu_count,
             scratch_tid: usize::MAX,
             scratch_alloc,
             scratch_extra: 0.0,
@@ -1086,6 +1105,7 @@ impl<'p> EngineState<'p> {
             let mut progress = false;
             let mut next = self.next_stream(0);
             while let Some(s) = next {
+                self.stream_visits += 1;
                 // Start immediately so this task's allocations are
                 // visible to the next stream's memory-fit check.
                 if !self.streams[s].busy {
@@ -1105,6 +1125,40 @@ impl<'p> EngineState<'p> {
                 break;
             }
         }
+        // Skipping clean streams is exact only if a clean stream never
+        // holds a startable task; the reference path visits them all.
+        debug_assert!(
+            self.reference_scan || (0..self.streams.len()).all(|s| !self.has_startable(s)),
+            "a clean stream could start a task at t={}",
+            self.clock
+        );
+    }
+
+    /// Whether [`pick_startable`](Self::pick_startable) would return a
+    /// task for `s`, without taking it off the stream.
+    fn has_startable(&mut self, s: usize) -> bool {
+        let stream = &self.streams[s];
+        if stream.busy {
+            return false;
+        }
+        let candidate = if stream.fifo {
+            stream
+                .queue
+                .get(stream.cursor)
+                .copied()
+                .filter(|&tid| self.tasks[tid].is_ready())
+        } else {
+            stream
+                .ready
+                .iter()
+                .copied()
+                .filter(|&tid| self.tasks[tid].is_ready() && self.admitted(tid))
+                .min_by_key(|&tid| (self.tasks[tid].priority, tid))
+        };
+        candidate.is_some_and(|tid| {
+            let (dev, need) = self.start_need(tid);
+            !self.memory_gate || self.memory.fits(dev, need)
+        })
     }
 
     /// The next stream at or above `from` a start pass visits: every
@@ -1270,6 +1324,10 @@ impl<'p> EngineState<'p> {
                 (None, b) => b,
                 (a, _) => a, // different devices: keep the anchor
             };
+            if let Some((cursor_dev, _)) = self.tasks[inn].admit {
+                self.cursor_watchers
+                    .insert(cursor_dev * self.gpu_count + dev.index());
+            }
             self.bump_dep(consumer);
         }
     }
@@ -1508,10 +1566,13 @@ impl<'p> EngineState<'p> {
             seq: tid,
         }));
         if self.tasks[tid].stream == StreamKind::Compute {
-            // The compute cursor just advanced; swap-in admission windows
-            // on any device may reference it.
-            for dev in 0..self.gpu_count {
-                self.dirty.insert(sid(dev, StreamKind::CopyIn));
+            // The compute cursor just advanced: wake the copy-in streams
+            // whose admission windows read it.
+            let row = self.tasks[tid].device.index() * self.gpu_count;
+            let mut next = self.cursor_watchers.next_at_or_after(row);
+            while let Some(bit) = next.filter(|&b| b < row + self.gpu_count) {
+                self.dirty.insert(sid(bit - row, StreamKind::CopyIn));
+                next = self.cursor_watchers.next_at_or_after(bit + 1);
             }
         }
 
@@ -1684,6 +1745,7 @@ impl<'p> EngineState<'p> {
             tasks,
             streams,
             dirty,
+            cursor_watchers,
             ready_set,
             heap,
             residency,
@@ -1699,6 +1761,7 @@ impl<'p> EngineState<'p> {
             tasks,
             streams,
             dirty,
+            cursor_watchers,
             ready_set,
             heap,
             residency,
@@ -1750,6 +1813,7 @@ impl<'p> EngineState<'p> {
             tasks,
             streams,
             dirty,
+            cursor_watchers,
             ready_set,
             heap,
             memory,
@@ -1767,6 +1831,7 @@ impl<'p> EngineState<'p> {
             tasks,
             streams,
             dirty,
+            cursor_watchers,
             ready_set,
             heap,
             residency,

@@ -32,7 +32,7 @@ fn main() {
     let elapsed = t0.elapsed();
 
     println!("topology: {} (asymmetric NVLink)", machine.name());
-    println!("searched all 8! stage permutations in {elapsed:?}");
+    println!("searched the 8! stage permutations (one per lane-symmetry class) in {elapsed:?}");
     println!("best map: {map}  (score {score:.2})");
     #[allow(clippy::needless_range_loop)]
     for stage in 0..8 {

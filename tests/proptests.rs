@@ -303,73 +303,6 @@ proptest! {
         prop_assert_eq!(a.host_traffic, b.host_traffic);
     }
 
-    /// The indexed fast path (dirty-stream worklist + ready-set bitset +
-    /// recycled arena buffers) is a pure optimization: for arbitrary
-    /// jobs and directive subsets it must produce a `SimReport`
-    /// identical to the retained reference full-scan engine — including
-    /// a second run through the *same* arena, which exercises buffer
-    /// recycling.
-    #[test]
-    fn fast_engine_matches_reference_scan(
-        layers in 2usize..10,
-        stages in 2usize..5,
-        mb in 1usize..4,
-        microbatches in 2usize..8,
-        schedule_pick in 0usize..3,
-        gpu_gib in 1u64..8,
-        directive_mask in 0u64..(1 << 12),
-    ) {
-        prop_assume!(layers >= stages);
-        let schedule = [ScheduleKind::PipeDream, ScheduleKind::Dapple, ScheduleKind::GPipe]
-            [schedule_pick];
-        let job = mpress_pipeline::PipelineJob::builder()
-            .model(
-                TransformerConfig::builder(ModelFamily::Gpt)
-                    .layers(layers)
-                    .hidden(256)
-                    .seq_len(128)
-                    .build(),
-            )
-            .schedule(schedule)
-            .stages(stages)
-            .microbatch_size(mb)
-            .microbatches(microbatches)
-            .precision(PrecisionPolicy::mixed())
-            .build()
-            .unwrap();
-        let lowered = job.lower().unwrap();
-        let mut plan = InstrumentationPlan::new();
-        for t in lowered.graph.tensors() {
-            if t.kind != TensorKind::Activation || t.layer.is_none() {
-                continue;
-            }
-            match (directive_mask >> (t.id.index() % 12)) & 3 {
-                1 => plan.assign(t.id, MemoryDirective::Recompute),
-                2 => plan.assign(t.id, MemoryDirective::SwapToHost(HostTier::Dram)),
-                _ => {}
-            }
-        }
-        let machine = mpress_hw::Machine::builder()
-            .name("fuzz")
-            .gpu({
-                let mut g = mpress_hw::GpuSpec::v100_32gb();
-                g.memory = Bytes::gib(gpu_gib);
-                g
-            })
-            .topology(Topology::dgx2())
-            .build();
-        let sim = Simulator::new(&machine, &lowered.graph, &plan, DeviceMap::identity(stages));
-        let mut arena = SimArena::new();
-        let fast_fresh = sim.run_in(&mut arena).expect("fast engine must terminate");
-        let fast_reused = sim.run_in(&mut arena).expect("fast engine must terminate");
-        let reference = Simulator::new(&machine, &lowered.graph, &plan, DeviceMap::identity(stages))
-            .with_config(SimConfig::default().reference_scan(true))
-            .run()
-            .expect("reference engine must terminate");
-        prop_assert_eq!(&fast_fresh, &reference);
-        prop_assert_eq!(&fast_reused, &reference);
-    }
-
     /// The analytic makespan bound used by the plan-search bounds gate
     /// is sound: it never exceeds the emulated makespan of a successful run.
     #[test]
@@ -579,6 +512,98 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// The indexed fast path (dirty-stream worklist, ready-set bitset,
+    /// targeted copy-in wake-ups, recycled arena buffers) is a pure
+    /// optimization: for arbitrary jobs, machines, device maps and
+    /// directive subsets it must produce a `SimReport` identical to the
+    /// retained reference full-scan engine —
+    /// including a second run through the *same* arena, which exercises
+    /// buffer recycling. Layer activations are recomputed, swapped to
+    /// the host or striped to a random NVLink peer of their stage's
+    /// device.
+    #[test]
+    fn fast_engine_matches_reference_scan(
+        layers in 2usize..10,
+        stages in 2usize..5,
+        mb in 1usize..4,
+        microbatches in 2usize..8,
+        schedule_pick in 0usize..3,
+        gpu_mib in 160u64..2048,
+        directive_mask in 0u64..(1 << 24),
+        dgx1 in 0usize..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        prop_assume!(layers >= stages);
+        let schedule = [ScheduleKind::PipeDream, ScheduleKind::Dapple, ScheduleKind::GPipe]
+            [schedule_pick];
+        let job = mpress_pipeline::PipelineJob::builder()
+            .model(
+                TransformerConfig::builder(ModelFamily::Gpt)
+                    .layers(layers)
+                    .hidden(256)
+                    .seq_len(128)
+                    .build(),
+            )
+            .schedule(schedule)
+            .stages(stages)
+            .microbatch_size(mb)
+            .microbatches(microbatches)
+            .precision(PrecisionPolicy::mixed())
+            .build()
+            .unwrap();
+        let lowered = job.lower().unwrap();
+        let topology = if dgx1 == 1 { Topology::dgx1() } else { Topology::dgx2() };
+        // A seeded shuffle of the stages over devices 0..stages.
+        let mut rng = seed;
+        let mut devices: Vec<DeviceId> = (0..stages).map(DeviceId).collect();
+        for i in (1..stages).rev() {
+            devices.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+        }
+        let map = DeviceMap::from_vec(devices).unwrap();
+        let mut plan = InstrumentationPlan::new();
+        for t in lowered.graph.tensors() {
+            if t.kind != TensorKind::Activation || t.layer.is_none() {
+                continue;
+            }
+            match (directive_mask >> (2 * (t.id.index() % 12))) & 3 {
+                1 => plan.assign(t.id, MemoryDirective::Recompute),
+                2 => plan.assign(t.id, MemoryDirective::SwapToHost(HostTier::Dram)),
+                3 => {
+                    let peers = topology.neighbors(map.device_of(t.stage));
+                    let (peer, lanes) = peers[(splitmix(&mut rng) % peers.len() as u64) as usize];
+                    plan.assign(
+                        t.id,
+                        MemoryDirective::SwapD2d(StripePlan::single(t.bytes, peer, lanes)),
+                    );
+                }
+                _ => {}
+            }
+        }
+        let machine = mpress_hw::Machine::builder()
+            .name("fuzz")
+            .gpu({
+                let mut g = mpress_hw::GpuSpec::v100_32gb();
+                g.memory = Bytes::mib(gpu_mib);
+                g
+            })
+            .topology(topology)
+            .build();
+        let sim = Simulator::new(&machine, &lowered.graph, &plan, map.clone());
+        let mut arena = SimArena::new();
+        let fast_fresh = sim.run_in(&mut arena).expect("fast engine must terminate");
+        let fast_reused = sim.run_in(&mut arena).expect("fast engine must terminate");
+        let reference = Simulator::new(&machine, &lowered.graph, &plan, map)
+            .with_config(SimConfig::default().reference_scan(true))
+            .run()
+            .expect("reference engine must terminate");
+        prop_assert_eq!(&fast_fresh, &reference);
+        prop_assert_eq!(&fast_reused, &reference);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Bound-and-abort emulation is outcome-transparent: for any paper
@@ -626,4 +651,13 @@ proptest! {
         prop_assert_eq!(reference_aborts, 0);
         prop_assert_eq!(default, reference);
     }
+}
+
+/// SplitMix64, for the seeded choices inside one proptest case.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
