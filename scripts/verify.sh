@@ -65,7 +65,7 @@ echo "== planner timing smoke-run + zoo plan table =="
 # JSON records the effective value alongside wall-clock and cache
 # counters. The 20 zoo jobs always run at jobs=1, and --check fails on
 # any deterministic field (per-job emulator runs, refinement rounds,
-# makespan, TFLOPS, and the search work counts) that differs from the
+# makespan, TFLOPS, plan digest, and the search work counts) that differs from the
 # checked-in table. A change
 # that is meant to move plans regenerates the table without --check and
 # lists every changed row.

@@ -653,6 +653,128 @@ proptest! {
     }
 }
 
+/// The eviction path under the fast-vs-reference oracle. Static
+/// tensors (weights and optimizer states) take host or D2D swap
+/// directives on GPUs sized just below the peak the plan reaches
+/// ungated, so the memory manager evicts prefetched tensors and
+/// schedules refetches, whose admission gates read a compute cursor.
+/// Every seeded case must give identical results on the fast and the
+/// reference engine (metrics included, through a fresh and a reused
+/// arena), and the cases together must evict and refetch.
+///
+/// Seeds 0..24 sample the case space. The listed seeds each hold a
+/// refetch whose gate opens at a compute start that releases no memory,
+/// so only the compute start's copy-in wake-up can start it; in debug
+/// builds the fast path's start-pass check fails such a case if that
+/// wake-up is missing.
+#[test]
+fn fast_engine_matches_reference_scan_through_evictions() {
+    let (mut evictions, mut refetches) = (0, 0);
+    for seed in (0..24).chain(GATED_REFETCH_SEEDS) {
+        let (fast_fresh, fast_reused, reference) = eviction_case(seed);
+        assert_eq!(fast_fresh, reference, "seed {seed}");
+        assert_eq!(fast_reused, reference, "seed {seed}");
+        if let Some(m) = reference.ok().and_then(|r| r.metrics) {
+            evictions += m.evictions;
+            refetches += m.refetches;
+        }
+    }
+    assert!(evictions > 0, "no case evicted");
+    assert!(refetches > 0, "no case refetched");
+}
+
+/// Seeds of [`eviction_case`] with a refetch that only a compute start's
+/// wake-up can start (see `fast_engine_matches_reference_scan_through_evictions`).
+const GATED_REFETCH_SEEDS: [u64; 4] = [369, 383, 533, 650];
+
+type SimResult = Result<mpress_sim::SimReport, mpress_sim::SimError>;
+
+/// One seeded eviction case: a 2- or 3-stage GPipe or DAPPLE job whose
+/// static tensors take swap directives at random, on a GPU holding 80
+/// to 100 % of the peak the plan reaches on a GPU that never gates it.
+/// Returns the fast engine's result through a fresh and then a reused
+/// arena, and the reference engine's.
+fn eviction_case(seed: u64) -> (SimResult, SimResult, SimResult) {
+    let mut rng = seed;
+    let stages = 2 + (splitmix(&mut rng) % 2) as usize;
+    let layers = stages + (splitmix(&mut rng) % 6) as usize;
+    let schedule = [ScheduleKind::GPipe, ScheduleKind::Dapple][(splitmix(&mut rng) % 2) as usize];
+    let job = mpress_pipeline::PipelineJob::builder()
+        .model(
+            TransformerConfig::builder(ModelFamily::Gpt)
+                .layers(layers)
+                .hidden(1024)
+                .seq_len([128, 512][(splitmix(&mut rng) % 2) as usize])
+                .build(),
+        )
+        .schedule(schedule)
+        .stages(stages)
+        .microbatch_size(1 + (splitmix(&mut rng) % 3) as usize)
+        .microbatches(4 + (splitmix(&mut rng) % 8) as usize)
+        .precision(PrecisionPolicy::mixed())
+        .build()
+        .unwrap();
+    let lowered = job.lower().unwrap();
+    let topology = if splitmix(&mut rng) % 2 == 1 {
+        Topology::dgx1()
+    } else {
+        Topology::dgx2()
+    };
+    let mut devices: Vec<DeviceId> = (0..stages).map(DeviceId).collect();
+    for i in (1..stages).rev() {
+        devices.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+    }
+    let map = DeviceMap::from_vec(devices).unwrap();
+    let mut plan = InstrumentationPlan::new();
+    for t in lowered.graph.tensors() {
+        if !matches!(t.kind, TensorKind::Parameter | TensorKind::OptimizerState) {
+            continue;
+        }
+        match splitmix(&mut rng) % 8 {
+            0 | 1 => plan.assign(t.id, MemoryDirective::SwapToHost(HostTier::Dram)),
+            2 => {
+                let peers = topology.neighbors(map.device_of(t.stage));
+                let (peer, lanes) = peers[(splitmix(&mut rng) % peers.len() as u64) as usize];
+                plan.assign(
+                    t.id,
+                    MemoryDirective::SwapD2d(StripePlan::single(t.bytes, peer, lanes)),
+                );
+            }
+            _ => {}
+        }
+    }
+    let roomy = mpress_hw::Machine::builder()
+        .name("roomy")
+        .topology(topology.clone())
+        .build();
+    let peak = Simulator::new(&roomy, &lowered.graph, &plan, map.clone())
+        .run()
+        .expect("an ungated run terminates")
+        .device_peak
+        .into_iter()
+        .max()
+        .unwrap_or(Bytes::ZERO);
+    let percent = 80 + splitmix(&mut rng) % 21;
+    let machine = mpress_hw::Machine::builder()
+        .name("evict")
+        .gpu({
+            let mut g = mpress_hw::GpuSpec::v100_32gb();
+            g.memory = g.reserved + Bytes(peak.as_u64() / 100 * percent);
+            g
+        })
+        .topology(topology)
+        .build();
+    let config = SimConfig::default().metrics(true);
+    let sim = Simulator::new(&machine, &lowered.graph, &plan, map.clone()).with_config(config);
+    let mut arena = SimArena::new();
+    let fast_fresh = sim.run_in(&mut arena);
+    let fast_reused = sim.run_in(&mut arena);
+    let reference = Simulator::new(&machine, &lowered.graph, &plan, map)
+        .with_config(config.reference_scan(true))
+        .run();
+    (fast_fresh, fast_reused, reference)
+}
+
 /// SplitMix64, for the seeded choices inside one proptest case.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
