@@ -1,9 +1,11 @@
 //! The instrumentation plan: tensor → technique assignments.
 //!
 //! MPress Static's *rewriter* instruments the dataflow graph with swap-out,
-//! swap-in, drop and recompute operators (paper Fig. 5 step 4). We express
-//! the result as a per-tensor [`MemoryDirective`] map that the simulator
-//! expands into copy-stream tasks and compute-time adjustments.
+//! swap-in, drop and recompute operators (paper Fig. 5 step 4). Here no
+//! pass rewrites the graph: the plan stays a per-tensor
+//! [`MemoryDirective`] map, and the simulator executes it just in time,
+//! expanding each directive into copy-stream tasks and compute-time
+//! adjustments when a run is built.
 
 use crate::striping::StripePlan;
 use crate::technique::Technique;

@@ -15,21 +15,18 @@
 //!
 //! [`CostModel`] reproduces the per-tensor cost comparison of Table III;
 //! [`InstrumentationPlan`] is the tensor→technique assignment MPress's
-//! planner emits and the simulator executes; [`SwapMetadataTable`] tracks
-//! in-flight sub-blocks exactly as §III-C describes.
+//! planner emits. No pass rewrites the graph with swap or drop ops: the
+//! simulator executes each directive just in time, expanding it into
+//! copy-stream tasks and folded recompute time when a run is built.
 
 #![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod directive;
-pub mod metadata;
-pub mod rewrite;
 pub mod striping;
 pub mod technique;
 
 pub use cost::CostModel;
 pub use directive::{HostTier, InstrumentationPlan, MemoryDirective, PlanValidationError};
-pub use metadata::{SwapMetadataTable, SwapRecord, SwapState};
-pub use rewrite::{instrument, RewriteStats};
 pub use striping::{StripeChunk, StripePlan};
 pub use technique::Technique;

@@ -1,10 +1,13 @@
 //! Dataflow-graph substrate for the MPress reproduction.
 //!
 //! MPress Static (paper Fig. 5) operates on the training job's dataflow
-//! graph: the *profiler* collects per-tensor stats, the *planner* assigns
-//! memory-saving strategies using live-interval analysis, and the
-//! *rewriter* instruments the graph with swap/drop/recompute operators.
-//! This crate provides the graph representation those components share:
+//! graph: the *profiler* collects per-tensor stats and the *planner*
+//! assigns memory-saving strategies using live-interval analysis. The
+//! paper's *rewriter* would then splice swap/drop/recompute operators
+//! into the graph; here the simulator executes the planner's directives
+//! just in time instead, so the graph only ever holds compute and
+//! communication ops. This crate provides the graph representation
+//! those components share:
 //!
 //! * [`Tensor`]s at per-layer x per-microbatch granularity (activations)
 //!   and per-layer granularity (parameters, gradients, optimizer states),

@@ -19,13 +19,6 @@ pub enum OpKind {
     Send,
     /// Receive the boundary activation from the previous stage.
     Recv,
-    /// Export a tensor off the device (inserted by the rewriter).
-    SwapOut,
-    /// Fetch a tensor back before its next use (inserted by the rewriter).
-    SwapIn,
-    /// Release a dropped activation (inserted by the rewriter for
-    /// recomputation).
-    Drop,
 }
 
 impl fmt::Display for OpKind {
@@ -36,9 +29,6 @@ impl fmt::Display for OpKind {
             OpKind::OptimizerStep => "opt",
             OpKind::Send => "send",
             OpKind::Recv => "recv",
-            OpKind::SwapOut => "swap-out",
-            OpKind::SwapIn => "swap-in",
-            OpKind::Drop => "drop",
         };
         write!(f, "{s}")
     }

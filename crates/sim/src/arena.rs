@@ -108,9 +108,7 @@ impl Prebuilt {
             .iter()
             .map(|op| match op.kind {
                 OpKind::Send | OpKind::Recv => StreamKind::Comm,
-                OpKind::SwapOut => StreamKind::CopyOut,
-                OpKind::SwapIn => StreamKind::CopyIn,
-                _ => StreamKind::Compute,
+                OpKind::Forward | OpKind::Backward | OpKind::OptimizerStep => StreamKind::Compute,
             })
             .collect();
 

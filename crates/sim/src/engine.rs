@@ -281,10 +281,12 @@ pub(crate) struct Task {
     /// a later layer's tensor first can deadlock the earlier one out of
     /// memory). Lower runs first.
     priority: usize,
-    /// For swap-ins: the (device, position) on the consumer's compute
-    /// stream before which the fetch may not start — demand-window
-    /// admission that stops far-future prefetches from squatting on
-    /// memory the near-term work needs.
+    /// For eviction refetches: the (device, position) on the consumer's
+    /// compute stream before which the fetch may not start — demand-window
+    /// admission that stops the refetch from reclaiming the bytes its
+    /// eviction just freed. Build-time prefetches need no gate: one
+    /// becomes ready only when its anchor op starts, and the anchor's
+    /// FIFO compute cursor has already moved past the anchor by then.
     admit: Option<(usize, usize)>,
     start: Secs,
     end: Secs,
@@ -503,9 +505,8 @@ impl<'a> Simulator<'a> {
 }
 
 /// Writes a fully reinitialized task into the next slot, reusing the
-/// slot (and its `dependents` allocation) when the buffer still has one
-/// from a previous run.
-#[allow(clippy::too_many_arguments)]
+/// slot's `dependents` allocation when the buffer still has one from a
+/// previous run.
 fn emit_task(
     tasks: &mut Vec<Task>,
     live: &mut usize,
@@ -515,189 +516,59 @@ fn emit_task(
     duration: Secs,
 ) -> usize {
     let tid = *live;
-    if tid < tasks.len() {
-        let t = &mut tasks[tid];
-        t.dependents.clear();
-        t.payload = payload;
-        t.device = device;
-        t.stream = stream;
-        t.duration = duration;
-        t.deps = 0;
-        t.trigger_fired = true;
-        t.started = false;
-        t.done = false;
-        t.in_ready = false;
-        t.priority = usize::MAX;
-        t.admit = None;
-        t.start = 0.0;
-        t.end = 0.0;
-        t.ready_at = 0.0;
-        t.dep_wait_is_copy = false;
-    } else {
-        tasks.push(Task {
-            payload,
-            device,
-            stream,
-            duration,
-            deps: 0,
-            trigger_fired: true,
-            dependents: Vec::new(),
-            started: false,
-            done: false,
-            in_ready: false,
-            priority: usize::MAX,
-            admit: None,
-            start: 0.0,
-            end: 0.0,
-            ready_at: 0.0,
-            dep_wait_is_copy: false,
-        });
+    let mut dependents = tasks
+        .get_mut(tid)
+        .map(|t| std::mem::take(&mut t.dependents))
+        .unwrap_or_default();
+    dependents.clear();
+    let task = Task {
+        payload,
+        device,
+        stream,
+        duration,
+        deps: 0,
+        trigger_fired: true,
+        dependents,
+        started: false,
+        done: false,
+        in_ready: false,
+        priority: usize::MAX,
+        admit: None,
+        start: 0.0,
+        end: 0.0,
+        ready_at: 0.0,
+        dep_wait_is_copy: false,
+    };
+    match tasks.get_mut(tid) {
+        Some(slot) => *slot = task,
+        None => tasks.push(task),
     }
     *live += 1;
     tid
 }
 
-/// Copy direction of a swap leg; fixes the payload and stream kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LegKind {
-    /// Export (`SwapOut` on the copy-out stream).
-    Out,
-    /// Import (`SwapIn` on the copy-in stream).
-    In,
-}
-
-/// One swap task ("leg") an instrumentation directive expands into,
-/// described structurally before any task exists. `build` emits the
-/// swap tasks from this list in order — leg task id = `n_ops + spec
-/// index`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LegSpec {
-    tensor: TensorId,
-    kind: LegKind,
-    dur: Secs,
-    /// Op task id this leg depends on: the producer for a dynamic
-    /// tensor's initial export, the consumer just served for a
-    /// re-export. `None` for imports and static initial exports.
-    op_dep: Option<usize>,
-    /// Spec index of the export this import depends on (`None` for a
-    /// static tensor's first import — the tensor starts swapped out).
-    out_dep: Option<usize>,
-    /// The consumer op an import feeds (doubles as its priority).
-    consumer: Option<usize>,
-    /// Prefetch trigger: the import stays untriggered until this op
-    /// starts.
-    anchor: Option<usize>,
-    /// Demand-window admission `(device, compute position)`.
-    admit: Option<(usize, usize)>,
-}
-
-/// Expands the plan's swap directives into the ordered leg-spec list.
-/// `op_dur` must return the *folded* compute duration of an op task
-/// (recomputation included) — the prefetch-anchor walk measures lead
-/// time in folded durations, exactly as the emitted tasks will run.
-fn plan_legs(
-    machine: &Machine,
-    graph: &TrainingGraph,
-    plan: &InstrumentationPlan,
+/// The compute slot `(stage, position)` whose start leaves about 1.5x
+/// the copy time `in_dur` of compute ahead of `consumer`: enough lead
+/// for a swap-in to land. `dur` gives an op task's folded duration
+/// (recomputation included), as the tasks will run. Build-time
+/// prefetches trigger on the op in that slot; eviction refetches are
+/// admitted once the compute cursor reaches it.
+fn prefetch_anchor(
     pre: &Prebuilt,
-    device_map: &DeviceMap,
-    op_dur: impl Fn(usize) -> Secs,
-    out: &mut Vec<LegSpec>,
-) {
-    out.clear();
-    // The anchor op whose *start* leaves ~1.5x the swap-in time of
-    // compute ahead of `consumer` — enough lead for the copy to land.
-    let prefetch_anchor = |consumer: usize, in_dur: Secs| -> Option<usize> {
-        let (stage, pos) = pre.seq_pos[consumer]?;
-        let seq = &pre.compute_seq[stage];
-        let mut lead = 0.0;
-        let mut anchor = None;
-        for j in (0..pos).rev() {
-            anchor = Some(seq[j]);
-            lead += op_dur(seq[j]);
-            if lead >= 1.5 * in_dur {
-                break;
-            }
-        }
-        anchor
-    };
-    for (t, d) in plan.iter() {
-        let (out_dur, in_dur) = match d {
-            MemoryDirective::Recompute => continue,
-            MemoryDirective::SwapToHost(HostTier::Dram) => {
-                let one_way = machine.pcie_transfer_time(pre.bytes[t.index()]);
-                (one_way, one_way)
-            }
-            MemoryDirective::SwapToHost(HostTier::Nvme) => {
-                // GPU->host->NVMe staging pipelines; the slower leg
-                // dominates each direction.
-                let pcie = machine.pcie_transfer_time(pre.bytes[t.index()]);
-                let out = pcie.max(machine.nvme_transfer_time(pre.bytes[t.index()], true));
-                let inn = pcie.max(machine.nvme_transfer_time(pre.bytes[t.index()], false));
-                (out, inn)
-            }
-            MemoryDirective::SwapD2d(stripe) => (stripe.one_way_time(), stripe.one_way_time()),
-        };
-        let tensor = graph.tensor(t);
-        let producer = pre.producer_of[t.index()];
-        let consumers = &pre.consumers_of[t.index()];
-        let is_static = tensor.kind.is_static();
-
-        // Static tensors start swapped out; dynamic ones swap out after
-        // their producer.
-        let mut last_out: Option<usize> = if is_static {
-            None
-        } else {
-            out.push(LegSpec {
-                tensor: t,
-                kind: LegKind::Out,
-                dur: out_dur,
-                op_dep: producer,
-                out_dep: None,
-                consumer: None,
-                anchor: None,
-                admit: None,
-            });
-            Some(out.len() - 1)
-        };
-
-        for (k, &c) in consumers.iter().enumerate() {
-            let anchor = prefetch_anchor(c, in_dur);
-            let admit = anchor.and_then(|a| {
-                pre.seq_pos[a].map(|(stage, pos)| (device_map.device_of(stage).index(), pos))
-            });
-            out.push(LegSpec {
-                tensor: t,
-                kind: LegKind::In,
-                dur: in_dur,
-                op_dep: None,
-                out_dep: last_out,
-                consumer: Some(c),
-                anchor,
-                admit,
-            });
-
-            // Re-export after the consumer. Dynamic tensors are freed
-            // by their last consumer, but statics persist — without a
-            // trailing export, consumed optimizer states would pile up
-            // on the device and crowd out the next layer's swap-in.
-            if k + 1 < consumers.len() || is_static {
-                out.push(LegSpec {
-                    tensor: t,
-                    kind: LegKind::Out,
-                    dur: out_dur,
-                    op_dep: Some(c),
-                    out_dep: None,
-                    consumer: None,
-                    anchor: None,
-                    admit: None,
-                });
-                last_out = Some(out.len() - 1);
-            } else {
-                last_out = None;
-            }
+    consumer: usize,
+    in_dur: Secs,
+    dur: impl Fn(usize) -> Secs,
+) -> Option<(usize, usize)> {
+    let (stage, pos) = pre.seq_pos[consumer]?;
+    let seq = &pre.compute_seq[stage];
+    let mut lead = 0.0;
+    for j in (0..pos).rev() {
+        lead += dur(seq[j]);
+        if lead >= 1.5 * in_dur {
+            return Some((stage, j));
         }
     }
+    (pos > 0).then_some((stage, 0))
 }
 
 /// All mutable engine state for one run. Borrows the instrumentation
@@ -714,11 +585,11 @@ struct EngineState<'p> {
     /// marks one.
     dirty: BitSet,
     /// Bit `dev * gpu_count + w` is set once device `w`'s copy-in stream
-    /// holds a task admitted against device `dev`'s compute cursor. A
-    /// compute start on `dev` wakes only those copy-in streams: it
-    /// otherwise only allocates memory, which never makes a stream
-    /// startable, and advances its own cursor, which only admission
-    /// gates read.
+    /// holds an eviction refetch admitted against device `dev`'s compute
+    /// cursor. A compute start on `dev` wakes only those copy-in streams:
+    /// it otherwise only allocates memory, which never makes a stream
+    /// startable, and advances its own cursor, which only refetch
+    /// admission gates read.
     cursor_watchers: BitSet,
     /// Streams the start passes visited, for [`SimArena::stream_visits`].
     stream_visits: usize,
@@ -823,73 +694,84 @@ impl<'p> EngineState<'p> {
         }
 
         // --- Swap tasks ------------------------------------------------------
+        // One walk over the plan emits every directive's legs in order:
+        // an export after the producer (static tensors start swapped
+        // out instead), then per consumer an import and, while the
+        // tensor lives on, a re-export after that consumer.
         let mut triggers = std::mem::take(&mut bufs.triggers);
         for v in triggers.iter_mut() {
             v.clear();
         }
         triggers.resize_with(n_ops, Vec::new);
         triggers.truncate(n_ops);
-        let gpu_count = machine.gpu_count();
-        let mut cursor_watchers = std::mem::take(&mut bufs.cursor_watchers);
-        cursor_watchers.clear_resize(gpu_count * gpu_count);
-        let mut specs = Vec::new();
-        plan_legs(
-            machine,
-            graph,
-            plan,
-            pre,
-            device_map,
-            |i| tasks[i].duration,
-            &mut specs,
-        );
-        for (k, &spec) in specs.iter().enumerate() {
-            let (payload, stream) = match spec.kind {
-                LegKind::Out => (Payload::SwapOut(spec.tensor), StreamKind::CopyOut),
-                LegKind::In => (Payload::SwapIn(spec.tensor), StreamKind::CopyIn),
+        let mut runnable_swaps = std::mem::take(&mut bufs.runnable_swaps);
+        runnable_swaps.clear();
+        runnable_swaps.resize(n_tensors, 0);
+        for (t, d) in plan.iter() {
+            let i = t.index();
+            let (out_dur, in_dur) = match d {
+                MemoryDirective::Recompute => continue,
+                MemoryDirective::SwapToHost(HostTier::Dram) => {
+                    let one_way = machine.pcie_transfer_time(pre.bytes[i]);
+                    (one_way, one_way)
+                }
+                MemoryDirective::SwapToHost(HostTier::Nvme) => {
+                    // GPU->host->NVMe staging pipelines; the slower leg
+                    // dominates each direction.
+                    let pcie = machine.pcie_transfer_time(pre.bytes[i]);
+                    let out = pcie.max(machine.nvme_transfer_time(pre.bytes[i], true));
+                    let inn = pcie.max(machine.nvme_transfer_time(pre.bytes[i], false));
+                    (out, inn)
+                }
+                MemoryDirective::SwapD2d(stripe) => (stripe.one_way_time(), stripe.one_way_time()),
             };
-            let tid = emit_task(
-                &mut tasks,
-                &mut live,
-                payload,
-                home[spec.tensor.index()],
-                stream,
-                spec.dur,
-            );
-            debug_assert_eq!(tid, n_ops + k, "leg task ids are dense after the ops");
-            if let Some(p) = spec.op_dep {
-                tasks[p].dependents.push(tid);
-                tasks[tid].deps += 1;
-            }
-            if let Some(o) = spec.out_dep {
-                tasks[n_ops + o].dependents.push(tid);
-                tasks[tid].deps += 1;
-            }
-            if let Some(c) = spec.consumer {
-                // Prefetch trigger: an upstream compute op whose start
-                // leaves enough compute time to hide the copy. The same
-                // position doubles as the admission gate.
-                if let Some(anchor) = spec.anchor {
-                    tasks[tid].trigger_fired = false;
-                    triggers[anchor].push(tid);
-                    tasks[tid].admit = spec.admit;
-                    if let Some((dev, _)) = spec.admit {
-                        cursor_watchers.insert(dev * gpu_count + home[spec.tensor.index()].index());
+            let dev = home[i];
+            // Emits one leg on `stream`, after task `dep` when it has one.
+            // A leg's dependencies are final once it is emitted, so one
+            // without any is counted runnable right here.
+            let mut leg = |tasks: &mut Vec<Task>, live: &mut usize, stream, dep: Option<usize>| {
+                let (payload, dur) = if stream == StreamKind::CopyIn {
+                    (Payload::SwapIn(t), in_dur)
+                } else {
+                    (Payload::SwapOut(t), out_dur)
+                };
+                let tid = emit_task(tasks, live, payload, dev, stream, dur);
+                match dep {
+                    Some(d) => {
+                        tasks[d].dependents.push(tid);
+                        tasks[tid].deps += 1;
                     }
+                    None => runnable_swaps[i] += 1,
+                }
+                tid
+            };
+            let (is_static, producer) = (graph.tensor(t).kind.is_static(), pre.producer_of[i]);
+            let mut last_out =
+                (!is_static).then(|| leg(&mut tasks, &mut live, StreamKind::CopyOut, producer));
+            let consumers = &pre.consumers_of[i];
+            for (k, &c) in consumers.iter().enumerate() {
+                let tid = leg(&mut tasks, &mut live, StreamKind::CopyIn, last_out);
+                // Prefetch trigger: the import stays untriggered until
+                // its anchor op starts.
+                if let Some((stage, pos)) = prefetch_anchor(pre, c, in_dur, |o| tasks[o].duration) {
+                    tasks[tid].trigger_fired = false;
+                    triggers[pre.compute_seq[stage][pos]].push(tid);
                 }
                 tasks[tid].dependents.push(c);
                 tasks[tid].priority = c;
                 tasks[c].deps += 1;
+                // Re-export after the consumer. Dynamic tensors are freed
+                // by their last consumer, but statics persist — without a
+                // trailing export, consumed optimizer states would pile up
+                // on the device and crowd out the next layer's swap-in.
+                last_out = (k + 1 < consumers.len() || is_static)
+                    .then(|| leg(&mut tasks, &mut live, StreamKind::CopyOut, Some(c)));
             }
         }
         tasks.truncate(live);
-        let mut runnable_swaps = std::mem::take(&mut bufs.runnable_swaps);
-        runnable_swaps.clear();
-        runnable_swaps.resize(n_tensors, 0);
-        for (k, spec) in specs.iter().enumerate() {
-            if tasks[n_ops + k].deps == 0 {
-                runnable_swaps[spec.tensor.index()] += 1;
-            }
-        }
+        let gpu_count = machine.gpu_count();
+        let mut cursor_watchers = std::mem::take(&mut bufs.cursor_watchers);
+        cursor_watchers.clear_resize(gpu_count * gpu_count);
 
         // --- Streams ----------------------------------------------------------
         let n_sids = gpu_count * STREAMS_PER_DEV;
@@ -1316,7 +1198,8 @@ impl<'p> EngineState<'p> {
             // position right past the task this eviction unblocks —
             // otherwise the refetch instantly reclaims the freed bytes
             // and the run ping-pongs one tensor forever.
-            let anchor = self.refetch_admit(consumer, out_dur);
+            let anchor = prefetch_anchor(self.pre, consumer, out_dur, |o| self.tasks[o].duration)
+                .map(|(stage, pos)| (self.stage_device[stage], pos));
             let past_blocked = self.position_of(blocked_tid).map(|(d, p)| (d, p + 1));
             self.tasks[inn].admit = match (anchor, past_blocked) {
                 (Some((d, a)), Some((d2, b))) if d == d2 => Some((d, a.max(b))),
@@ -1340,25 +1223,16 @@ impl<'p> EngineState<'p> {
         stream: StreamKind,
         duration: Secs,
     ) -> usize {
-        let tid = self.tasks.len();
-        self.tasks.push(Task {
+        let mut live = self.tasks.len();
+        let tid = emit_task(
+            &mut self.tasks,
+            &mut live,
             payload,
             device,
             stream,
             duration,
-            deps: 0,
-            trigger_fired: true,
-            dependents: Vec::new(),
-            started: false,
-            done: false,
-            in_ready: false,
-            priority: usize::MAX,
-            admit: None,
-            start: 0.0,
-            end: 0.0,
-            ready_at: self.clock,
-            dep_wait_is_copy: false,
-        });
+        );
+        self.tasks[tid].ready_at = self.clock;
         self.streams[sid(device.index(), stream)].queue.push(tid);
         self.note_ready(tid);
         tid
@@ -1461,24 +1335,6 @@ impl<'p> EngineState<'p> {
         for k in 0..STREAMS_PER_DEV {
             self.dirty.insert(base + k);
         }
-    }
-
-    /// The admission gate for a refetch created at eviction time: the same
-    /// anchor rule as build-time prefetches (enough compute upstream of
-    /// the consumer to hide the copy).
-    fn refetch_admit(&self, consumer_tid: usize, in_dur: Secs) -> Option<(usize, usize)> {
-        let (stage, pos) = self.pre.seq_pos.get(consumer_tid).copied().flatten()?;
-        let seq = &self.pre.compute_seq[stage];
-        let mut lead = 0.0;
-        let mut anchor_pos = None;
-        for j in (0..pos).rev() {
-            anchor_pos = Some(j);
-            lead += self.tasks[seq[j]].duration;
-            if lead >= 1.5 * in_dur {
-                break;
-            }
-        }
-        anchor_pos.map(|p| (self.stage_device[stage], p))
     }
 
     /// The compute-stream slot a task occupies (ops directly; swap-ins via
@@ -1623,11 +1479,9 @@ impl<'p> EngineState<'p> {
                 Payload::Op(op_id) => (
                     match pre.op_kinds[op_id.index()] {
                         OpKind::Forward => TraceKind::Forward,
-                        OpKind::Backward | OpKind::Drop => TraceKind::Backward,
+                        OpKind::Backward => TraceKind::Backward,
                         OpKind::OptimizerStep => TraceKind::Optimizer,
                         OpKind::Send | OpKind::Recv => TraceKind::Send,
-                        OpKind::SwapOut => TraceKind::SwapOut,
-                        OpKind::SwapIn => TraceKind::SwapIn,
                     },
                     Bytes::ZERO,
                 ),

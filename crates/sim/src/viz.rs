@@ -74,9 +74,6 @@ pub fn gantt(
             OpKind::Backward => 'B',
             OpKind::OptimizerStep => 'U',
             OpKind::Send | OpKind::Recv => 's',
-            OpKind::SwapOut => 'o',
-            OpKind::SwapIn => 'i',
-            OpKind::Drop => 'd',
         };
         let start = report.op_start[op.id.index()];
         let end = report.op_end[op.id.index()];
