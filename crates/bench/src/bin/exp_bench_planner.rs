@@ -14,9 +14,9 @@
 //!  "peak_workers": 1, "bound_aborts": 9,
 //!  "refinement_rounds": 28, "refine_candidates": [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1],
 //!  "trials_enqueued": 265, "bound_node_visits": 72067, "plan_emits": 53,
-//!  "zoo_wall_s": 1.0, "zoo_emulator_runs": 1053, "zoo_trials_enqueued": 12524,
-//!  "zoo_bound_node_visits": 1964902, "zoo_plan_emits": 1238,
-//!  "zoo_stream_visits": 7075000, "zoo": [
+//!  "zoo_wall_s": 1.0, "zoo_emulator_runs": 1053, "zoo_trials_enqueued": 12517,
+//!  "zoo_bound_node_visits": 1961248, "zoo_plan_emits": 1238,
+//!  "zoo_stream_visits": 7073803, "zoo": [
 //!   {"model": "bert-0.35b", "machine": "dgx1", "emulator_runs": 1,
 //!    "refinement_rounds": 0, "makespan_s": 2.5347909907487183,
 //!    "tflops": 76.12678889048854, "plan_digest": "a4ff75ce1b30eba0", "wall_s": 0.002},
