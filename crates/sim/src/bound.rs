@@ -13,7 +13,7 @@
 //! directives reach and still returns the from-scratch bits (DESIGN.md
 //! §13c).
 
-use crate::arena::{tables_for, BitSet, Prebuilt, SimArena};
+use crate::arena::{tables_for, BitSet, Csr, Prebuilt, SimArena};
 use crate::device_map::DeviceMap;
 use mpress_compaction::{HostTier, InstrumentationPlan, MemoryDirective};
 use mpress_graph::{TensorId, TrainingGraph};
@@ -37,26 +37,14 @@ pub(crate) struct BoundDag {
     order: Vec<usize>,
     /// op -> its index in `order`, or [`OFF_ORDER`].
     pos: Vec<usize>,
-    /// op -> `succ[succ_start[op]..succ_start[op + 1]]`.
-    succ_start: Vec<usize>,
-    succ: Vec<usize>,
-    /// op -> `pred[pred_start[op]..pred_start[op + 1]]`.
-    pred_start: Vec<usize>,
-    pred: Vec<usize>,
+    /// op -> its successors.
+    succ: Csr,
+    /// op -> its predecessors.
+    pred: Csr,
     /// Ordered nodes with no ordered successor. Durations are never
     /// negative, so a finish time never falls along a path, and the
     /// latest of these finishes is the latest of all.
     terminals: Vec<usize>,
-}
-
-/// Flattens per-node adjacency lists into `(starts, items)`.
-fn flatten(lists: Vec<Vec<usize>>) -> (Vec<usize>, Vec<usize>) {
-    let mut starts = Vec::with_capacity(lists.len() + 1);
-    starts.push(0);
-    for l in &lists {
-        starts.push(starts[starts.len() - 1] + l.len());
-    }
-    (starts, lists.concat())
 }
 
 impl BoundDag {
@@ -99,25 +87,21 @@ impl BoundDag {
             .copied()
             .filter(|&u| succ[u].iter().all(|&v| pos[v] == OFF_ORDER))
             .collect();
-        let (succ_start, succ) = flatten(succ);
-        let (pred_start, pred) = flatten(pred);
         BoundDag {
             order,
             pos,
-            succ_start,
-            succ,
-            pred_start,
-            pred,
+            succ: Csr::from_lists(succ),
+            pred: Csr::from_lists(pred),
             terminals,
         }
     }
 
     fn successors(&self, op: usize) -> &[usize] {
-        &self.succ[self.succ_start[op]..self.succ_start[op + 1]]
+        &self.succ[op]
     }
 
     fn predecessors(&self, op: usize) -> &[usize] {
-        &self.pred[self.pred_start[op]..self.pred_start[op + 1]]
+        &self.pred[op]
     }
 
     /// Longest path in push form, one pass in `order`: fills `start`
