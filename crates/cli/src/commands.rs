@@ -378,10 +378,22 @@ pub fn check(args: &Args) -> Result<String, CliError> {
 }
 
 /// `train`: plan + simulate, report throughput and optional charts.
+/// `--json` prints the `v1` response body instead — byte-identical to
+/// what the daemon sends for the same request — and, being the whole
+/// output, cannot be combined with `--metrics`.
 pub fn train(args: &Args) -> Result<String, CliError> {
     let mode = metrics_mode(args)?;
+    let json = args.switch("json");
+    if json && mode != MetricsMode::Off {
+        return Err(CliError::BadFlag(
+            "`--json` prints the response body alone; drop `--metrics`".to_owned(),
+        ));
+    }
     let req = plan_request_from(args)?;
     let outcome = run_train(&req, &ApiContext::new(), mode != MetricsMode::Off)?;
+    if json {
+        return body_json(&outcome.response);
+    }
     let (report, mpress) = (&outcome.report, &outcome.mpress);
     if mode == MetricsMode::Json {
         // Machine-readable stdout: the telemetry document and nothing else.
@@ -683,6 +695,28 @@ mod tests {
         assert!(out.contains("per-device memory"), "{out}");
         assert!(out.contains("execution lanes"), "{out}");
         assert!(out.contains("GPU7"), "{out}");
+    }
+
+    #[test]
+    fn train_json_is_the_daemons_body() {
+        let out = train(&args(&["--model", "bert-0.35b", "--json"])).unwrap();
+        let request = Request::Train(PlanRequest::new("bert-0.35b"));
+        let reply = mpress_api::execute(&request, &ApiContext::new()).unwrap();
+        let body = serde_json::to_string(&reply.body_value()).unwrap();
+        assert_eq!(out, format!("{body}\n"));
+        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+        assert_eq!(
+            parsed.get("succeeded"),
+            Some(&serde_json::Value::Bool(true))
+        );
+    }
+
+    #[test]
+    fn train_json_with_metrics_is_a_usage_error() {
+        for metrics in ["--metrics=json", "--metrics=table"] {
+            let err = train(&args(&["--model", "bert-0.35b", "--json", metrics])).unwrap_err();
+            assert!(matches!(err, CliError::BadFlag(_)), "{err}");
+        }
     }
 
     #[test]

@@ -146,8 +146,9 @@ pub fn usage() -> String {
      \x20 --opts        all|recompute|hostswap|d2d|none (default all)\n\
      \x20 --jobs        worker threads for parallel plan search (0 = auto;\n\
      \x20               MPRESS_JOBS env var is equivalent)\n\
-     \x20 --json        print the versioned v1 response body (plan/compare) or\n\
-     \x20               the diagnostics document (check) as JSON\n\
+     \x20 --json        print the versioned v1 response body (plan/train/compare;\n\
+     \x20               not with --metrics on train) or the diagnostics\n\
+     \x20               document (check) as JSON\n\
      \x20 --out         write the plan as JSON (plan) or report (train)\n\
      \x20 --chart       render per-device memory lanes (train)\n\
      \x20 --gantt       render the execution timeline (train)\n\
