@@ -1259,6 +1259,13 @@ impl<'p> EngineState<'p> {
                 (None, b) => b,
                 (a, _) => a, // different devices: keep the anchor
             };
+            // Never past the consumer itself: a swap-in witness's own
+            // consumer can sit past this one on its device, and a gate
+            // the cursor reaches only after the consumer runs deadlocks.
+            let admit = match (admit, self.position_of(consumer)) {
+                (Some((d, a)), Some((dc, c))) if d == dc => Some((d, a.min(c))),
+                (admit, _) => admit,
+            };
             self.tasks[inn].admit = admit.map(|(d, pos)| (d as u32, pos as u32));
             if let Some((cursor_dev, _)) = admit {
                 self.cursor_watchers

@@ -11,6 +11,7 @@ use mpress_pipeline::{
 };
 use mpress_sim::{DeviceMap, SimArena, SimConfig, Simulator};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 proptest! {
     /// `Bytes::split_even` conserves the total and balances within 1 byte.
@@ -809,81 +810,127 @@ proptest! {
         seed in 0u64..u64::MAX,
         runs_per_graph in 2usize..5,
     ) {
-        let mut rng = seed;
-        let topology = if splitmix(&mut rng) % 2 == 1 {
-            Topology::dgx1()
-        } else {
-            Topology::dgx2()
-        };
-        let graphs = [seeded_graph(&mut rng), seeded_graph(&mut rng)];
-        // GPUs holding 60 to 110 % of the larger graph's peak without
-        // directives, so runs fit, evict and refetch, or stop at an OOM.
-        let roomy = mpress_hw::Machine::builder()
-            .name("roomy")
-            .topology(topology.clone())
-            .build();
-        let peak = graphs
-            .iter()
-            .map(|(graph, stages)| {
-                let empty = InstrumentationPlan::new();
-                Simulator::new(&roomy, graph, &empty, DeviceMap::identity(*stages))
-                    .run()
-                    .expect("an ungated run terminates")
-                    .max_device_peak()
-            })
-            .max()
-            .unwrap_or(Bytes::ZERO);
-        let percent = 60 + splitmix(&mut rng) % 51;
-        let machine = mpress_hw::Machine::builder()
-            .name("reuse")
-            .gpu({
-                let mut g = mpress_hw::GpuSpec::v100_32gb();
-                g.memory = g.reserved + Bytes(peak.as_u64() / 100 * percent);
-                g
-            })
-            .topology(topology.clone())
-            .build();
-        let mut arena = SimArena::new();
-        let mut last_map: Option<DeviceMap> = None;
-        for (graph, stages) in &graphs {
-            for _ in 0..runs_per_graph {
-                let mut devices: Vec<DeviceId> = (0..*stages).map(DeviceId).collect();
-                for i in (1..*stages).rev() {
-                    devices.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
-                }
-                let mut map = DeviceMap::from_vec(devices.clone()).unwrap();
-                if last_map.as_ref() == Some(&map) {
-                    devices.rotate_left(1);
-                    map = DeviceMap::from_vec(devices).unwrap();
-                }
-                let mut plan = InstrumentationPlan::new();
-                for t in graph.tensors() {
-                    let activation = t.kind == TensorKind::Activation && t.layer.is_some();
-                    let is_static =
-                        matches!(t.kind, TensorKind::Parameter | TensorKind::OptimizerState);
-                    if !activation && !is_static {
-                        continue;
-                    }
-                    match splitmix(&mut rng) % 6 {
-                        0 if activation => plan.assign(t.id, MemoryDirective::Recompute),
-                        1 => plan.assign(t.id, MemoryDirective::SwapToHost(HostTier::Dram)),
-                        2 => {
-                            let peers = topology.neighbors(map.device_of(t.stage));
-                            let pick = (splitmix(&mut rng) % peers.len() as u64) as usize;
-                            let (peer, lanes) = peers[pick];
-                            let stripe = StripePlan::single(t.bytes, peer, lanes);
-                            plan.assign(t.id, MemoryDirective::SwapD2d(stripe));
-                        }
-                        _ => {}
-                    }
-                }
-                let sim = Simulator::new(&machine, graph, &plan, map.clone())
-                    .with_config(SimConfig::default().metrics(true));
-                prop_assert_eq!(sim.run_in(&mut arena), sim.run());
-                last_map = Some(map);
+        reuse_case(seed, runs_per_graph, |sim, _, arena| {
+            prop_assert_eq!(sim.run_in(arena), sim.run());
+            Ok(())
+        })?;
+    }
+}
+
+/// A case of [`reused_arena_matches_fresh_runs_across_plans_maps_and_graphs`]
+/// whose stall witnesses are swap-ins: two evicted tensors share a next
+/// consumer, and both witnesses' consumers sit past it on its device.
+/// Gating the refetches one past those witnesses left both out of the
+/// consumer's reach, and every engine deadlocked; clamped to the
+/// consumer's position, each run completes or reports OOM, the same on
+/// the fast and the reference engine.
+#[test]
+fn refetch_gate_never_passes_its_own_consumer() {
+    let mut runs = 0;
+    reuse_case(15_340_246_539_882_262_556, 4, |sim, reference, arena| {
+        let (fast, reference) = (sim.run_in(arena), reference.run());
+        assert!(
+            !matches!(fast, Err(mpress_sim::SimError::Deadlock { .. })),
+            "run {runs}: {fast:?}"
+        );
+        assert_eq!(fast, reference, "run {runs}");
+        runs += 1;
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(runs, 8);
+}
+
+/// The seeded run sequence of
+/// [`reused_arena_matches_fresh_runs_across_plans_maps_and_graphs`]: two
+/// graphs on one topology, `runs_per_graph` (plan, device map) pairs
+/// each, the map changed between runs, on GPUs holding 60 to 110 % of
+/// the larger graph's directive-free peak so runs fit, evict and
+/// refetch, or stop at an OOM. `check` gets each run's simulator and its
+/// reference-scan twin (both with metrics on) and the one arena all runs
+/// share.
+fn reuse_case(
+    seed: u64,
+    runs_per_graph: usize,
+    mut check: impl FnMut(&Simulator<'_>, &Simulator<'_>, &mut SimArena) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let mut rng = seed;
+    let topology = if splitmix(&mut rng) % 2 == 1 {
+        Topology::dgx1()
+    } else {
+        Topology::dgx2()
+    };
+    let graphs = [seeded_graph(&mut rng), seeded_graph(&mut rng)];
+    // GPUs holding 60 to 110 % of the larger graph's peak without
+    // directives, so runs fit, evict and refetch, or stop at an OOM.
+    let roomy = mpress_hw::Machine::builder()
+        .name("roomy")
+        .topology(topology.clone())
+        .build();
+    let peak = graphs
+        .iter()
+        .map(|(graph, stages)| {
+            let empty = InstrumentationPlan::new();
+            Simulator::new(&roomy, graph, &empty, DeviceMap::identity(*stages))
+                .run()
+                .expect("an ungated run terminates")
+                .max_device_peak()
+        })
+        .max()
+        .unwrap_or(Bytes::ZERO);
+    let percent = 60 + splitmix(&mut rng) % 51;
+    let machine = mpress_hw::Machine::builder()
+        .name("reuse")
+        .gpu({
+            let mut g = mpress_hw::GpuSpec::v100_32gb();
+            g.memory = g.reserved + Bytes(peak.as_u64() / 100 * percent);
+            g
+        })
+        .topology(topology.clone())
+        .build();
+    let mut arena = SimArena::new();
+    let mut last_map: Option<DeviceMap> = None;
+    for (graph, stages) in &graphs {
+        for _ in 0..runs_per_graph {
+            let mut devices: Vec<DeviceId> = (0..*stages).map(DeviceId).collect();
+            for i in (1..*stages).rev() {
+                devices.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
             }
+            let mut map = DeviceMap::from_vec(devices.clone()).unwrap();
+            if last_map.as_ref() == Some(&map) {
+                devices.rotate_left(1);
+                map = DeviceMap::from_vec(devices).unwrap();
+            }
+            let mut plan = InstrumentationPlan::new();
+            for t in graph.tensors() {
+                let activation = t.kind == TensorKind::Activation && t.layer.is_some();
+                let is_static =
+                    matches!(t.kind, TensorKind::Parameter | TensorKind::OptimizerState);
+                if !activation && !is_static {
+                    continue;
+                }
+                match splitmix(&mut rng) % 6 {
+                    0 if activation => plan.assign(t.id, MemoryDirective::Recompute),
+                    1 => plan.assign(t.id, MemoryDirective::SwapToHost(HostTier::Dram)),
+                    2 => {
+                        let peers = topology.neighbors(map.device_of(t.stage));
+                        let pick = (splitmix(&mut rng) % peers.len() as u64) as usize;
+                        let (peer, lanes) = peers[pick];
+                        let stripe = StripePlan::single(t.bytes, peer, lanes);
+                        plan.assign(t.id, MemoryDirective::SwapD2d(stripe));
+                    }
+                    _ => {}
+                }
+            }
+            let config = SimConfig::default().metrics(true);
+            let sim = Simulator::new(&machine, graph, &plan, map.clone()).with_config(config);
+            let reference = Simulator::new(&machine, graph, &plan, map.clone())
+                .with_config(config.reference_scan(true));
+            check(&sim, &reference, &mut arena)?;
+            last_map = Some(map);
         }
     }
+    Ok(())
 }
 
 /// A seeded 2- to 4-stage GPT job's lowered graph and its stage count.
