@@ -91,12 +91,10 @@ impl Code {
     /// Whether the diagnostic means the plan is *malformed* (as opposed
     /// to merely guaranteed to run out of memory).
     ///
-    /// The planner hook rejects candidates only on structural codes:
+    /// Structural codes describe plans the emulator refuses to run;
     /// capacity findings (MP007/MP008/MP013) and analysis overflow
-    /// (MP012) must still reach the emulator, whose OOM verdict drives
-    /// the feasibility loop — rejecting them could change the chosen
-    /// plan. (The bounds *gate* handles MP013 itself, and only when a
-    /// non-OOM incumbent makes the prune outcome-equivalent.)
+    /// (MP012) describe plans it runs to an OOM (or cannot judge), and
+    /// that OOM verdict is what drives the planner's feasibility loop.
     pub fn is_structural(self) -> bool {
         !matches!(
             self,
@@ -326,7 +324,7 @@ impl Report {
     }
 
     /// Whether any *structural* error is present (see
-    /// [`Code::is_structural`]) — the planner hook's rejection test.
+    /// [`Code::is_structural`]).
     pub fn has_structural_errors(&self) -> bool {
         self.diagnostics
             .iter()

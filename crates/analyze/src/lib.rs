@@ -5,15 +5,13 @@
 //! * **Plan verification** ([`PlanVerifier`]): checks a compaction plan
 //!   and device map against the training graph, the machine topology
 //!   and the memory model, reporting findings as stable `MP0xx`
-//!   [`Diagnostic`]s. Exposed as `mpress-cli check` and as a planner
-//!   hook that rejects structurally invalid candidates before
-//!   emulation (`SearchStats::verifier_rejections`).
+//!   [`Diagnostic`]s. Exposed as `mpress-cli check`.
 //! * **Certified bounds** ([`BoundsAnalyzer`]): an abstract
 //!   interpretation computing per-device residency envelopes and a
 //!   makespan interval with a three-way capacity verdict
-//!   (certified-OOM / certified-fit / unknown). Drives sound incumbent
-//!   pruning in the planner (`SearchStats::bounds_pruned`) and the
-//!   `check --bounds` report.
+//!   (certified-OOM / certified-fit / unknown). Drives the
+//!   `check --bounds` report and the `exp_bench_bounds` soundness
+//!   oracle.
 //! * **Source linting** ([`lint`]): the `mpress-lint` binary's engine —
 //!   token-level determinism/robustness lints over the workspace
 //!   sources with a ratcheting allowlist.
@@ -21,8 +19,7 @@
 //! The verifier is deliberately **one-sided**: it only reports what it
 //! can prove (a structural malformation, or a residency *lower bound*
 //! already over capacity), so a plan the planner emits and the
-//! emulator accepts is never rejected. That soundness property is what
-//! allows wiring it into the search without changing any chosen plan.
+//! emulator accepts is never flagged.
 
 #![forbid(unsafe_code)]
 

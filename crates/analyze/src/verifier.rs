@@ -5,15 +5,12 @@
 //! emulator**. Graph-shape properties (acyclicity, stream-order
 //! consistency, tensor lifetimes — mirroring `graph/liveness`) are
 //! established once per graph; per-candidate properties (directive
-//! targets, D2D links, analytic residency) are cheap enough to run on
-//! every planner candidate before emulation.
+//! targets, D2D links, analytic residency) are re-checked per plan.
 //!
 //! Every capacity computation is a **sound lower bound**: statics the
 //! plan does not evict plus the largest single-op working set. A plan
 //! the verifier flags with MP007 is *guaranteed* to OOM in the
 //! emulator; a clean verdict promises nothing (the bound is not tight).
-//! This one-sidedness is what lets the planner hook reject candidates
-//! without ever changing the chosen plan.
 
 use crate::diag::{Code, Context, Diagnostic, Report};
 use mpress_compaction::{HostTier, InstrumentationPlan, MemoryDirective};

@@ -10,13 +10,13 @@
 //!
 //! ```json
 //! {"wall_s": 0.091, "jobs": 1, "emulator_runs": 35, "cache_hits": 6,
-//!  "cache_hit_rate": 0.1463, "verifier_rejections": 0, "bounds_pruned": 15,
+//!  "cache_hit_rate": 0.1463, "bounds_pruned": 15,
 //!  "peak_workers": 1, "bound_aborts": 9,
 //!  "refinement_rounds": 28, "refine_candidates": [1, 6, 1, 3, 1, 2, 2, 1, 2, 2, 5, 1, 1],
 //!  "trials_enqueued": 265, "bound_node_visits": 72067, "plan_emits": 53,
-//!  "zoo_wall_s": 1.0, "zoo_emulator_runs": 1053, "zoo_trials_enqueued": 12517,
+//!  "zoo_wall_s": 1.0, "zoo_emulator_runs": 1057, "zoo_trials_enqueued": 12517,
 //!  "zoo_bound_node_visits": 1961248, "zoo_plan_emits": 1238,
-//!  "zoo_stream_visits": 7073803, "zoo": [
+//!  "zoo_stream_visits": 7073931, "zoo": [
 //!   {"model": "bert-0.35b", "machine": "dgx1", "emulator_runs": 1,
 //!    "refinement_rounds": 0, "makespan_s": 2.5347909907487183,
 //!    "tflops": 76.12678889048854, "plan_digest": "a4ff75ce1b30eba0", "wall_s": 0.002},
@@ -138,7 +138,7 @@ fn main() {
     let mut json = format!(
         "{{\"wall_s\": {:.3}, \"jobs\": {}, \"emulator_runs\": {}, \"cache_hits\": {}, \
          \"cache_hit_rate\": {:.4}, \
-         \"verifier_rejections\": {}, \"bounds_pruned\": {}, \
+         \"bounds_pruned\": {}, \
          \"peak_workers\": {}, \"bound_aborts\": {}, \
          \"refinement_rounds\": {}, \"refine_candidates\": [{}], \
          \"trials_enqueued\": {}, \"bound_node_visits\": {}, \"plan_emits\": {},",
@@ -147,7 +147,6 @@ fn main() {
         plan.search.emulator_runs,
         plan.search.cache_hits,
         plan.search.cache_hit_rate(),
-        plan.search.verifier_rejections,
         plan.search.bounds_pruned,
         plan.search.peak_workers,
         plan.search.bound_aborts,

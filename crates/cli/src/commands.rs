@@ -69,11 +69,10 @@ fn search_summary(s: &mpress::SearchStats, indent: &str, candidates: Option<&[us
     let _ = write!(
         out,
         "{indent}search: {} emulator runs, {} cache hits ({:.0}% hit rate), \
-         {} verifier rejections, jobs={} (peak {} workers)",
+         jobs={} (peak {} workers)",
         s.emulator_runs,
         s.cache_hits,
         100.0 * s.cache_hit_rate(),
-        s.verifier_rejections,
         s.jobs,
         s.peak_workers,
     );

@@ -18,7 +18,6 @@
 use crate::cache::{CancelToken, PlanCache};
 use crate::mapping::{MappingSearch, SpareAssignment};
 use crate::profiler::{Profile, TensorClass};
-use mpress_analyze::{BoundsAnalyzer, BoundsVerdict, PlanVerifier};
 use mpress_compaction::{
     CostModel, HostTier, InstrumentationPlan, MemoryDirective, StripePlan, Technique,
 };
@@ -31,7 +30,7 @@ use mpress_sim::{
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Which techniques the planner may use. Disabling subsets yields the
 /// paper's baselines (recomputation-only, GPU-CPU-swap-only, D2D-only).
@@ -203,10 +202,6 @@ pub struct SearchStats {
     pub emulator_runs: usize,
     /// `emulate()` calls answered from the memoization cache.
     pub cache_hits: usize,
-    /// Candidates rejected by the static plan verifier before emulation.
-    /// Zero on every planner-driven search: the planner only emits
-    /// structurally valid plans.
-    pub verifier_rejections: usize,
     /// Worker count the parallel sections resolved to.
     pub jobs: usize,
     /// Peak concurrently-busy workers observed in the process so far.
@@ -224,10 +219,9 @@ pub struct SearchStats {
     /// Always 0; kept only because the repo benchmark still reads it
     /// (see [`SearchStats::delta_replays`]).
     pub windows_total: usize,
-    /// Candidates the certified-bounds gate pruned without emulation:
-    /// certified-OOM residency (MP013) or a certified makespan lower
-    /// bound that cannot even tie the incumbent. Zero in reference
-    /// mode ([`PlannerConfig::reference`]).
+    /// Candidates the certified-bounds gate pruned without emulation: a
+    /// certified makespan lower bound that cannot even tie the
+    /// incumbent. Zero in reference mode ([`PlannerConfig::reference`]).
     pub bounds_pruned: usize,
     /// Always 0: speculative frontier evaluation was removed. Kept only
     /// because the repo benchmark (`perfbench`) still reads it.
@@ -357,7 +351,6 @@ struct EmulationCache {
     entries: Mutex<HashMap<u64, Outcome>>,
     runs: AtomicUsize,
     hits: AtomicUsize,
-    verifier_rejections: AtomicUsize,
     bounds_pruned: AtomicUsize,
     bound_aborts: AtomicUsize,
     trials_enqueued: AtomicUsize,
@@ -386,17 +379,38 @@ impl EmulationCache {
     }
 }
 
-/// Minimal FNV-1a 64-bit fold (std-only; `DefaultHasher` is not
-/// guaranteed stable across releases and cache behavior should be
-/// reproducible build-to-build).
+/// Minimal FNV-1a 64-bit fold over `v`'s eight little-endian bytes
+/// (std-only; `DefaultHasher` is not guaranteed stable across releases
+/// and cache behavior should be reproducible build-to-build).
+///
+/// A zero byte's step only multiplies by the prime, so the steps past
+/// `v`'s highest nonzero byte collapse into one multiplication by a
+/// precomputed power of it: the same 64-bit result, since wrapping
+/// multiplication is associative.
 pub(crate) fn fnv(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let len = 8 - (v.leading_zeros() / 8) as usize;
+    let (mut h, mut rest) = (h, v);
+    for _ in 0..len {
+        h ^= rest & 0xff;
+        h = h.wrapping_mul(FNV_PRIME);
+        rest >>= 8;
     }
-    h
+    h.wrapping_mul(FNV_PRIME_POWERS[8 - len])
 }
+
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME_POWERS[k]` = `FNV_PRIME^k` (wrapping), for `k` in `0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1_u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
 
 /// FNV-1a offset basis.
 pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -577,44 +591,73 @@ where
 struct Digests {
     /// The incumbent's tensors in plan order.
     tensors: Vec<TensorId>,
-    /// `exact[k]`/`canon[k]`: the two walks' states before entry `k`
-    /// (the last element holds the finished keys).
+    /// `exact[k]`: the exact walk's state before entry `k` (the last
+    /// element holds the finished key).
     exact: Vec<u64>,
-    canon: Vec<u64>,
-    /// The canonical rank table after the device-map prefix.
+    /// The canonical walk, or `None` where it is the exact walk (see
+    /// [`canon_is_exact`]).
+    canon: Option<CanonWalk>,
+}
+
+/// [`Digests`]' canonical walk.
+struct CanonWalk {
+    /// `states[k]`: the walk's state before entry `k`, as `exact`.
+    states: Vec<u64>,
+    /// The rank table after the device-map prefix.
     ranks: CanonRanks,
     /// The first entry whose stripe targets extend the rank table
     /// (`tensors.len()` when none does): the table is still `ranks`
-    /// before it, so the canonical walk resumes at any entry up to it.
+    /// before it, so the walk resumes at any entry up to it.
     settled: usize,
 }
 
+/// Whether [`canon_key`] equals [`cache_key`] on `device_map` for every
+/// plan whose stripe targets are among the machine's `gpus` devices
+/// (every plan `emit` builds): the map is the identity over all of them,
+/// so its prefix ranks each device as its own id and every later target
+/// is already ranked.
+fn canon_is_exact(device_map: &DeviceMap, gpus: usize) -> bool {
+    device_map.len() == gpus
+        && gpus <= CANON_DEVICES
+        && (0..gpus).all(|stage| device_map.device_of(stage).0 == stage)
+}
+
 impl Digests {
-    fn new(plan: &InstrumentationPlan, device_map: &DeviceMap) -> Self {
+    /// The walks of `plan` on a machine of `gpus` devices, without the
+    /// canonical one where [`canon_is_exact`].
+    fn new(plan: &InstrumentationPlan, device_map: &DeviceMap, gpus: usize) -> Self {
+        let mut tensors = Vec::with_capacity(plan.len());
+        let mut exact = Vec::with_capacity(plan.len() + 1);
+        exact.push(digest_map(device_map, &mut |d| d.0 as u64));
         let mut ranks = CanonRanks::default();
-        let mut exact = digest_map(device_map, &mut |d| d.0 as u64);
-        let mut canon = digest_map(device_map, &mut |d| ranks.rank(d));
-        let prefix = ranks;
-        let mut digests = Digests {
-            tensors: Vec::with_capacity(plan.len()),
-            exact: Vec::with_capacity(plan.len() + 1),
-            canon: Vec::with_capacity(plan.len() + 1),
-            ranks: prefix,
-            settled: plan.len(),
-        };
+        let mut canon = (!canon_is_exact(device_map, gpus)).then(|| {
+            let mut states = Vec::with_capacity(plan.len() + 1);
+            states.push(digest_map(device_map, &mut |d| ranks.rank(d)));
+            CanonWalk {
+                states,
+                ranks,
+                settled: plan.len(),
+            }
+        });
         for (k, (tensor, directive)) in plan.iter().enumerate() {
-            digests.tensors.push(tensor);
-            digests.exact.push(exact);
-            digests.canon.push(canon);
-            exact = digest_entry(exact, tensor, directive, &mut |d| d.0 as u64);
-            canon = digest_entry(canon, tensor, directive, &mut |d| ranks.rank(d));
-            if ranks.next != prefix.next && digests.settled == plan.len() {
-                digests.settled = k;
+            tensors.push(tensor);
+            exact.push(digest_entry(exact[k], tensor, directive, &mut |d| {
+                d.0 as u64
+            }));
+            if let Some(walk) = &mut canon {
+                let h = walk.states[k];
+                walk.states
+                    .push(digest_entry(h, tensor, directive, &mut |d| ranks.rank(d)));
+                if ranks.next != walk.ranks.next && walk.settled == plan.len() {
+                    walk.settled = k;
+                }
             }
         }
-        digests.exact.push(exact);
-        digests.canon.push(canon);
-        digests
+        Digests {
+            tensors,
+            exact,
+            canon,
+        }
     }
 
     /// `(cache_key, canon_key)` of `plan` (the incumbent these digests
@@ -629,11 +672,22 @@ impl Digests {
     ) -> (u64, u64) {
         let Some(&(first, _)) = changes.first() else {
             let n = self.tensors.len();
-            return (self.exact[n], self.canon[n]);
+            let exact = self.exact[n];
+            return (
+                exact,
+                self.canon.as_ref().map_or(exact, |walk| walk.states[n]),
+            );
         };
         let k = self.tensors.partition_point(|&t| t < first);
-        let from = if k <= self.settled { k } else { 0 };
-        let (mut exact, mut canon, mut ranks) = (self.exact[k], self.canon[from], self.ranks);
+        let mut exact = self.exact[k];
+        let Some(walk) = &self.canon else {
+            for (tensor, directive) in Overlay::new(plan.iter().skip(k), changes) {
+                exact = digest_entry(exact, tensor, directive, &mut |d| d.0 as u64);
+            }
+            return (exact, exact);
+        };
+        let from = if k <= walk.settled { k } else { 0 };
+        let (mut canon, mut ranks) = (walk.states[from], walk.ranks);
         for (tensor, directive) in Overlay::new(plan.iter().skip(from), changes) {
             if tensor >= first {
                 exact = digest_entry(exact, tensor, directive, &mut |d| d.0 as u64);
@@ -707,15 +761,6 @@ pub struct Planner<'a> {
     /// Cancellation budget checked before every simulator window; see
     /// [`Planner::with_cancel`].
     cancel: Option<CancelToken>,
-    /// Lazily built static plan verifier, run on every candidate before
-    /// emulation. The graph-side tables (lifetime sites, happens-before
-    /// bitset) are shared by every candidate check, so they are built
-    /// once.
-    verifier: OnceLock<PlanVerifier<'a>>,
-    /// Lazily built certified-bounds analyzer for the certified-OOM
-    /// prune; its per-stage residency tables are likewise shared by
-    /// every candidate.
-    bounds: OnceLock<BoundsAnalyzer<'a>>,
 }
 
 impl<'a> Planner<'a> {
@@ -735,8 +780,6 @@ impl<'a> Planner<'a> {
             arenas: ArenaPool::new(),
             shared: None,
             cancel: None,
-            verifier: OnceLock::new(),
-            bounds: OnceLock::new(),
         }
     }
 
@@ -773,7 +816,6 @@ impl<'a> Planner<'a> {
         SearchStats {
             emulator_runs: self.cache.runs.load(Ordering::Relaxed),
             cache_hits: self.cache.hits.load(Ordering::Relaxed),
-            verifier_rejections: self.cache.verifier_rejections.load(Ordering::Relaxed),
             jobs: mpress_par::pool_width(),
             peak_workers: mpress_par::peak_workers(),
             cache_hits_canonical: 0,
@@ -1438,7 +1480,7 @@ impl<'a> Planner<'a> {
     }
 
     /// [`Planner::emulate`] with an optional incumbent to beat. When the
-    /// certified-bounds gate or bound-and-abort emulation proves that
+    /// certified lower bound or bound-and-abort emulation proves that
     /// the candidate cannot beat a non-OOM incumbent (both are off in
     /// [`PlannerConfig::reference`] mode), `None` is returned — by
     /// [`metric_better`]'s rules such a candidate could never have been
@@ -1453,10 +1495,12 @@ impl<'a> Planner<'a> {
         incumbent: Option<Metric>,
         keyed: Option<(u64, Secs)>,
     ) -> Result<Option<(Metric, Option<OomEvent>)>, SimError> {
-        // The gate chain: exact memo, shared memo, static verifier,
-        // certified bounds, then a (possibly bound-and-abort) emulator
-        // window. Aborted windows are never cached: an abort certifies a
-        // loss against the gating incumbent, not an outcome.
+        // The gate chain: exact memo, shared memo, certified lower
+        // bound, then a (possibly bound-and-abort) emulator window.
+        // Aborted windows are never cached: an abort certifies a loss
+        // against the gating incumbent, not an outcome. Structural
+        // validity needs no gate of its own: the simulator validates
+        // every plan it runs and returns an error for a malformed one.
         let key = keyed.map_or_else(|| cache_key(plan, device_map), |(key, _)| key);
         if let Some(outcome) = self.cache.lookup(key) {
             return Ok(Some(outcome));
@@ -1473,38 +1517,12 @@ impl<'a> Planner<'a> {
                 return Ok(Some(outcome));
             }
         }
-        let verifier = self
-            .verifier
-            .get_or_init(|| PlanVerifier::new(self.machine, &self.lowered.graph));
-        let report = verifier.verify(plan, device_map);
-        // Only *structural* malformations reject: a predicted OOM
-        // (MP007/MP008/MP013) must still reach the emulator, because
-        // the feasibility loop and OOM-vs-OOM comparisons consume
-        // the simulated `OomEvent`.
-        if report.has_structural_errors() {
-            self.cache
-                .verifier_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return if incumbent.is_some() {
-                Ok(None)
-            } else {
-                Err(SimError::BadPlan(format!(
-                    "static verifier rejected plan: {}",
-                    report.summary()
-                )))
-            };
-        }
         // Only prune against a feasible incumbent: against an OOM one,
         // any non-OOM candidate wins regardless of makespan, and the
-        // bounds cannot predict host-pool feasibility.
+        // bound cannot predict host-pool feasibility. A certified-OOM
+        // candidate is not pruned: its window reports an OOM metric,
+        // which `metric_better` never prefers to a non-OOM incumbent.
         if let Some(best) = incumbent.filter(|best| !self.config.reference && !best.oom) {
-            // Certified OOM (MP013): emulation is guaranteed to report
-            // an OOM metric, which `metric_better` can never prefer over
-            // a non-OOM incumbent.
-            if self.certified_oom(plan, device_map) {
-                self.cache.bounds_pruned.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
             // Certified makespan lower bound: `metric_better` accepts a
             // candidate at up to 1.001x the incumbent (the host-traffic
             // tiebreak), so only candidates that cannot even tie are
@@ -1610,7 +1628,7 @@ impl<'a> Planner<'a> {
             .with(|arena| arena.bound_base(self.machine, &self.lowered.graph, plan, device_map));
         self.count_visits(visits);
         Incumbent {
-            digests: Digests::new(plan, device_map),
+            digests: Digests::new(plan, device_map, self.machine.gpu_count()),
             bound,
         }
     }
@@ -1633,7 +1651,7 @@ impl<'a> Planner<'a> {
             )
         });
         self.count_visits(visits);
-        incumbent.digests = Digests::new(plan, device_map);
+        incumbent.digests = Digests::new(plan, device_map, self.machine.gpu_count());
     }
 
     /// The frontier key's makespan lower bound of the incumbent behind
@@ -1708,16 +1726,6 @@ impl<'a> Planner<'a> {
             });
         }
         trials
-    }
-
-    /// Whether the certified residency bounds prove one candidate OOM
-    /// (MP013). The analyzer itself is built lazily once per planner,
-    /// like the verifier.
-    fn certified_oom(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> bool {
-        let analyzer = self
-            .bounds
-            .get_or_init(|| BoundsAnalyzer::new(self.machine, &self.lowered.graph));
-        analyzer.certify(plan, device_map).verdict == BoundsVerdict::CertifiedOom
     }
 }
 
@@ -1819,6 +1827,7 @@ mod tests {
     use super::*;
     use mpress_model::{ModelFamily, PrecisionPolicy, TransformerConfig};
     use mpress_pipeline::{PipelineJob, ScheduleKind};
+    use proptest::prelude::*;
 
     fn small_job() -> PipelineJob {
         PipelineJob::builder()
@@ -1898,6 +1907,55 @@ mod tests {
             .collect()
     }
 
+    /// FNV-1a over all eight bytes of `v`, one multiplication each.
+    fn fnv_bytewise(mut h: u64, v: u64) -> u64 {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    #[test]
+    fn fnv_matches_the_bytewise_fold_on_edge_values() {
+        for v in [
+            0,
+            1,
+            0xff,
+            0x100,
+            0x0100_0000_0000_0001,
+            0x00ff_0000_ff00_0000,
+            1 << 56,
+            u64::MAX >> 8,
+            u64::MAX,
+        ] {
+            for h in [FNV_SEED, 0, u64::MAX] {
+                assert_eq!(fnv(h, v), fnv_bytewise(h, v), "h {h:#x} v {v:#x}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Random values of every byte width, with random bytes
+        /// zeroed (interior zeros included), fold as the bytewise loop.
+        #[test]
+        fn fnv_matches_the_bytewise_fold(
+            h in 0u64..u64::MAX,
+            raw in 0u64..u64::MAX,
+            width in 0u32..65,
+            zeroed in 0u64..256,
+        ) {
+            let mut v = raw.checked_shr(64 - width).unwrap_or(0);
+            for byte in 0..8 {
+                if zeroed >> byte & 1 == 1 {
+                    v &= !(0xff << (8 * byte));
+                }
+            }
+            prop_assert_eq!(fnv(h, v), fnv_bytewise(h, v));
+            prop_assert_eq!(fnv(h, raw), fnv_bytewise(h, raw));
+        }
+    }
+
     #[test]
     fn digests_resume_to_the_full_walk_keys() {
         // Tensor 7 stripes to a device the map leaves out, so changes
@@ -1908,8 +1966,8 @@ mod tests {
             mpress_graph::TensorId(7),
             MemoryDirective::SwapD2d(StripePlan::single(Bytes::mib(8), DeviceId(6), 1)),
         );
-        let digests = Digests::new(&plan, &map);
-        assert_eq!(digests.settled, 3);
+        let digests = Digests::new(&plan, &map, 8);
+        assert_eq!(digests.canon.as_ref().map(|walk| walk.settled), Some(3));
         let unmapped = StripePlan::single(Bytes::mib(8), DeviceId(5), 1);
         for t in 0..12 {
             for directive in [
@@ -1930,6 +1988,43 @@ mod tests {
             digests.keys(&plan, &[]),
             (cache_key(&plan, &map), canon_key(&plan, &map))
         );
+
+        // With stripe targets on the machine's four GPUs: on the
+        // identity map over all four, both keys are the exact walk's;
+        // a permuted map, or an identity map over four of eight GPUs,
+        // still walks both.
+        let (plan, permuted) = canon_fixture([0, 1, 2, 3]);
+        let identity = DeviceMap::identity(4);
+        let on_map = StripePlan::single(Bytes::mib(8), DeviceId(2), 1);
+        for (map, gpus, exact) in [
+            (&identity, 4, true),
+            (&identity, 8, false),
+            (&permuted, 4, false),
+        ] {
+            let digests = Digests::new(&plan, map, gpus);
+            assert_eq!(digests.canon.is_none(), exact, "{map:?} over {gpus} GPUs");
+            for t in 0..12 {
+                for directive in [
+                    None,
+                    Some(MemoryDirective::Recompute),
+                    Some(MemoryDirective::SwapD2d(on_map.clone())),
+                ] {
+                    let changes = vec![(mpress_graph::TensorId(t), directive)];
+                    let trial = overlaid(&plan, &changes);
+                    let keys = (cache_key(&trial, map), canon_key(&trial, map));
+                    assert_eq!(digests.keys(&plan, &changes), keys, "change at tensor {t}");
+                    if exact {
+                        assert_eq!(keys.0, keys.1, "change at tensor {t}");
+                    }
+                }
+            }
+            assert_eq!(
+                digests.keys(&plan, &[]),
+                (cache_key(&plan, map), canon_key(&plan, map))
+            );
+        }
+        // The permuted map's keys differ, so the walk it keeps matters.
+        assert_ne!(cache_key(&plan, &permuted), canon_key(&plan, &permuted));
     }
 
     #[test]
@@ -1979,7 +2074,7 @@ mod tests {
                 (narrow.0, narrow.1, Bytes::mib(1)),
             ];
             let incumbent = planner.emit(classes, &choice, &budgets, &map).unwrap();
-            let digests = Digests::new(&incumbent, &map);
+            let digests = Digests::new(&incumbent, &map, machine.gpu_count());
             let mut kinds = Vec::new();
             let mut restriped = false;
             for victim in [acts[0], acts[1], states[0]] {

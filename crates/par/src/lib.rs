@@ -36,6 +36,7 @@
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide override installed by `--jobs` (0 = no override).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -145,7 +146,17 @@ pub fn jobs() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    hardware_threads().unwrap_or(1)
+}
+
+/// The detected hardware thread count (`None` when undetectable),
+/// resolved once per process: `available_parallelism` reads cgroup
+/// files on every call, and every parallel section and planner stats
+/// snapshot resolves a width. The [`set_jobs`] override and
+/// `MPRESS_JOBS` stay live.
+fn hardware_threads() -> Option<usize> {
+    static THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get()))
 }
 
 /// Batches below this size always run inline: the planner's feasibility
@@ -178,8 +189,9 @@ pub fn pool_width() -> usize {
     if UNCLAMPED.load(Ordering::Relaxed) {
         return requested;
     }
-    let hw = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
-    requested.min(hw).max(1)
+    requested
+        .min(hardware_threads().unwrap_or(usize::MAX))
+        .max(1)
 }
 
 /// The lane the current thread runs as: `Some(0)` on the thread

@@ -294,6 +294,10 @@ impl BitSet {
         self.words[id / 64] &= !(1 << (id % 64));
     }
 
+    pub(crate) fn contains(&self, id: usize) -> bool {
+        self.words[id / 64] & (1 << (id % 64)) != 0
+    }
+
     /// The smallest member >= `from`, or `None`.
     pub(crate) fn next_at_or_after(&self, from: usize) -> Option<usize> {
         let mut w = from / 64;

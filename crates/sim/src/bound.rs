@@ -134,6 +134,9 @@ pub(crate) struct BoundScratch {
     start: Vec<Secs>,
     /// Positions in `BoundDag::order` still to recompute.
     work: BitSet,
+    /// Positions whose op reads a flipped tensor: the only nodes whose
+    /// folded duration changes.
+    refold: BitSet,
     /// `(op, start, dur)` before a trial overwrote them.
     undo: Vec<(usize, Secs, Secs)>,
     /// Tensors whose recomputation flag a trial flipped.
@@ -314,25 +317,36 @@ impl BoundBase {
 
 /// Re-derives the start and duration of every queued node, in
 /// topological position order, from the nodes before it: pull form,
-/// `start = max(0, max over preds of finish)`. A node whose finish
-/// bits change queues its successors; `undo` records each overwritten
+/// `start = max(0, max over preds of finish)`. Only nodes in `refold`
+/// (readers of a flipped tensor) re-fold their duration; every other
+/// node's folded duration is unchanged. A node whose finish bits change
+/// queues its successors; `undo` records each overwritten
 /// `(op, start, dur)`. Returns the nodes visited.
 fn propagate(
     dag: &BoundDag,
     pre: &Prebuilt,
-    recompute: &[bool],
-    dur: &mut [Secs],
-    start: &mut [Secs],
+    base: &mut BoundBase,
     work: &mut BitSet,
+    refold: &BitSet,
     undo: &mut Vec<(usize, Secs, Secs)>,
 ) -> usize {
+    let BoundBase {
+        recompute,
+        dur,
+        start,
+        ..
+    } = base;
     let mut visits = 0;
     let mut next = work.next_at_or_after(0);
     while let Some(p) = next {
         work.remove(p);
         visits += 1;
         let v = dag.order[p];
-        let new_dur = folded(pre, recompute, v);
+        let new_dur = if refold.contains(p) {
+            folded(pre, recompute, v)
+        } else {
+            dur[v]
+        };
         let mut new_start = 0.0_f64;
         for &u in dag.predecessors(v) {
             let finish = start[u] + dur[u];
@@ -366,12 +380,14 @@ fn critical_path(dag: &BoundDag, dur: &[Secs], start: &[Secs]) -> Secs {
 }
 
 /// Flips `t`'s recomputation flag when `recomputed` disagrees with it,
-/// queueing every reader of `t`; returns whether it flipped.
+/// queueing every reader of `t` in `work` and marking it in `refold`;
+/// returns whether it flipped.
 fn toggle(
     dag: &BoundDag,
     pre: &Prebuilt,
     recompute: &mut [bool],
     work: &mut BitSet,
+    refold: &mut BitSet,
     t: usize,
     recomputed: bool,
 ) -> bool {
@@ -382,6 +398,7 @@ fn toggle(
     for &op in &pre.consumers_of[t] {
         if dag.pos[op] != OFF_ORDER {
             work.insert(dag.pos[op]);
+            refold.insert(dag.pos[op]);
         }
     }
     true
@@ -537,6 +554,7 @@ impl SimArena {
         let BoundScratch {
             recompute: next,
             work,
+            refold,
             undo,
             ..
         } = &mut self.bound;
@@ -546,19 +564,12 @@ impl SimArena {
             next[t.index()] = matches!(d, MemoryDirective::Recompute);
         }
         work.clear_resize(dag.order.len());
+        refold.clear_resize(dag.order.len());
         for (t, &recomputed) in next.iter().enumerate() {
-            toggle(dag, pre, &mut base.recompute, work, t, recomputed);
+            toggle(dag, pre, &mut base.recompute, work, refold, t, recomputed);
         }
         undo.clear();
-        let visits = propagate(
-            dag,
-            pre,
-            &base.recompute,
-            &mut base.dur,
-            &mut base.start,
-            work,
-            undo,
-        );
+        let visits = propagate(dag, pre, base, work, refold, undo);
         base.critical_path = critical_path(dag, &base.dur, &base.start);
         base.set_legs(machine, graph, pre, plan, device_map);
         visits
@@ -589,14 +600,27 @@ impl SimArena {
         let dag = pre.dag.get_or_init(|| BoundDag::build(pre, graph));
         debug_assert_eq!(base.fingerprint, pre.fingerprint, "base of another graph");
         let BoundScratch {
-            work, undo, flips, ..
+            work,
+            refold,
+            undo,
+            flips,
+            ..
         } = &mut self.bound;
 
         work.clear_resize(dag.order.len());
+        refold.clear_resize(dag.order.len());
         flips.clear();
         for (t, d) in changes {
             let recomputed = matches!(d, Some(MemoryDirective::Recompute));
-            if toggle(dag, pre, &mut base.recompute, work, t.index(), recomputed) {
+            if toggle(
+                dag,
+                pre,
+                &mut base.recompute,
+                work,
+                refold,
+                t.index(),
+                recomputed,
+            ) {
                 flips.push(t.index());
             }
         }
@@ -604,15 +628,7 @@ impl SimArena {
             (base.critical_path, 0)
         } else {
             undo.clear();
-            let visits = propagate(
-                dag,
-                pre,
-                &base.recompute,
-                &mut base.dur,
-                &mut base.start,
-                work,
-                undo,
-            );
+            let visits = propagate(dag, pre, base, work, refold, undo);
             let critical = critical_path(dag, &base.dur, &base.start);
             for &(v, start, dur) in undo.iter().rev() {
                 base.start[v] = start;

@@ -3,9 +3,8 @@
 //! Two properties anchor the verifier's design:
 //!
 //! * **Soundness** — every plan the planner emits, across the whole
-//!   model zoo on both NVLink machines, verifies clean. This is what
-//!   lets the planner hook reject structural errors without ever
-//!   changing a chosen plan.
+//!   model zoo on both NVLink machines, verifies clean, so `check`
+//!   never flags a plan the planner chose.
 //! * **Sensitivity** — seeded mutations of a *real* planner plan
 //!   (retargeted stripes, bogus recomputes, wrong-size maps) each
 //!   produce their exact `MP0xx` code, so the codes are usable as a
@@ -34,9 +33,9 @@ fn zoo_jobs(machine: &Machine) -> Vec<(String, PipelineJob)> {
 }
 
 /// Soundness: the verifier accepts every planner-emitted plan for every
-/// zoo model on both NVLink machines. A single diagnostic here means the
-/// planner hook could veto a legitimate candidate — the one thing the
-/// analysis must never do.
+/// zoo model on both NVLink machines. A single diagnostic here means
+/// `check` flags a plan the planner chose — the one thing the analysis
+/// must never do.
 ///
 /// The same jobs are the default-vs-reference harness: the certified-
 /// bounds prune and bound-and-abort only skip candidates the metric
@@ -70,7 +69,6 @@ fn verifier_accepts_every_planner_plan_across_zoo_and_machines() {
             "{case}: planner plan flagged:\n{}",
             report.render_table()
         );
-        assert_eq!(plan.search.verifier_rejections, 0, "{case}");
 
         let (reference, _) = Mpress::builder()
             .job(job.clone())
@@ -118,7 +116,7 @@ fn mutate_plan(
 
 /// Mutation: retarget one stripe to a device the source cannot reach
 /// over NVLink. The exact code is MP006 (`BadStripe`), and it is
-/// structural — the planner hook would veto this plan.
+/// structural — the emulator would refuse to run this plan.
 #[test]
 fn retargeted_stripe_yields_mp006() {
     let (mpress, plan, lowered) = d2d_plan();
@@ -301,11 +299,10 @@ fn bert_1_67b_report(config: PlannerConfig) -> (String, mpress::SearchStats) {
 }
 
 /// The bounds gate must be invisible: the default run's report is
-/// byte-identical to a reference run's, which prunes nothing
-/// (certified-OOM candidates lose to any non-OOM incumbent anyway, and
-/// the certified lower bound only skips candidates the metric could
-/// never prefer). On this pressured case the gate also demonstrably
-/// fires.
+/// byte-identical to a reference run's, which prunes nothing (the
+/// certified lower bound only skips candidates the metric could never
+/// prefer) and so emulates more candidates. On this pressured case the
+/// gate also demonstrably fires.
 #[test]
 fn bounds_gate_does_not_change_the_chosen_plan() {
     let (default, stats) = bert_1_67b_report(PlannerConfig::default());
@@ -313,24 +310,8 @@ fn bounds_gate_does_not_change_the_chosen_plan() {
         stats.bounds_pruned > 0,
         "bounds gate never fired: {stats:?}"
     );
-    let (reference, stats) = bert_1_67b_report(PlannerConfig::reference());
-    assert_eq!(stats.bounds_pruned, 0, "{stats:?}");
-    assert_eq!(default, reference);
-}
-
-/// The planner hook must be invisible: it never vetoes a candidate. The
-/// reference search sends every candidate the bounds gate would have
-/// pruned through the hook too, and the hook still rejects none of
-/// them, so the chosen plan is the one the metric alone picks.
-#[test]
-fn verifier_hook_does_not_change_the_chosen_plan() {
-    let (default, stats) = bert_1_67b_report(PlannerConfig::default());
-    assert_eq!(stats.verifier_rejections, 0, "{stats:?}");
     let (reference, reference_stats) = bert_1_67b_report(PlannerConfig::reference());
-    assert_eq!(
-        reference_stats.verifier_rejections, 0,
-        "{reference_stats:?}"
-    );
+    assert_eq!(reference_stats.bounds_pruned, 0, "{reference_stats:?}");
     assert!(
         reference_stats.emulator_runs > stats.emulator_runs,
         "reference search saw no more candidates: {reference_stats:?} vs {stats:?}"
