@@ -12,15 +12,15 @@
 //!   total task time plus the engine's bounded eviction work above).
 //!
 //! Both sides are *certified* against the emulator's actual accounting
-//! rules, giving a three-way verdict the planner can act on soundly:
+//! rules, giving a three-way verdict:
 //!
 //! * [`BoundsVerdict::CertifiedOom`] — some device's residency **lower**
 //!   bound exceeds capacity. Emulation is guaranteed to end
-//!   out-of-memory; the planner may reject pre-emulation (MP013).
+//!   out-of-memory; `check` reports it as MP007 (and MP008 on a victim
+//!   a landed stripe chunk overfills).
 //! * [`BoundsVerdict::CertifiedFit`] — every device's residency
 //!   **upper** bound fits. No device-capacity OOM is possible (host/NVMe
-//!   pools are out of scope), so the analytic residency re-checks
-//!   (MP007/MP008) are redundant.
+//!   pools are out of scope).
 //! * [`BoundsVerdict::Unknown`] — neither side is conclusive; emulate.
 //!
 //! # The residency lattice
@@ -33,12 +33,19 @@
 //! * `hi[d]` = every byte that could ever be simultaneously resident on
 //!   `d`: all tensors homed on stages mapped to `d` plus all stripe
 //!   chunks targeting `d`.
-//! * `lo[d]` = the larger of two witnesses that hold in *every* run:
-//!   the exact `t = 0` allocation (statics resident per their
-//!   directives, static stripe chunks at their targets) and the
-//!   permanent core (never-freed, never-evictable statics) plus the
-//!   largest single-op write working set (the bytes the engine allocates
-//!   at op start and cannot release before the op completes).
+//! * `lo[d]` = the largest of three witnesses, each a residency some
+//!   instant of *every completed* run carries. `perm` is the permanent
+//!   core: never-freed statics no swap directive makes evictable.
+//!   - the exact `t = 0` allocation (statics resident per their
+//!     directives, static stripe chunks at their targets);
+//!   - `perm` plus the largest op set: an op's distinct same-stage
+//!     dynamic reads and writes, all resident the instant it starts,
+//!     less the recomputed tensors it writes without reading (a
+//!     recomputed tensor is materialized inside its readers). This
+//!     covers the largest write set after directive cuts, a subset;
+//!   - on a victim device, its `perm` plus its largest incoming chunk of
+//!     a dynamic tensor with a producer: the chunk lands when the
+//!     producer's swap-out completes.
 //!
 //! Saturating arithmetic keeps `lo` sound under overflow (a saturated
 //! sum understates the true demand), while any overflow on the `hi`
@@ -46,11 +53,10 @@
 
 use crate::diag::{Code, Context, Diagnostic, Report};
 use mpress_compaction::{InstrumentationPlan, MemoryDirective};
-use mpress_graph::{TensorKind, TrainingGraph};
-use mpress_hw::{Bytes, Machine, Secs};
+use mpress_graph::{TensorId, TensorKind, TrainingGraph};
+use mpress_hw::{Bytes, DeviceId, Machine, Secs};
 use mpress_sim::{DeviceMap, SimArena};
 use serde::{Serialize, Value};
-use std::collections::BTreeMap;
 
 /// The three-way outcome of the residency interval comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +113,12 @@ impl ResidencyBounds {
     /// MP013 diagnostics for a certified-OOM verdict (empty report
     /// otherwise), against the given per-device capacity.
     pub fn report(&self, usable: Bytes) -> Report {
+        self.over_capacity(Code::CertifiedOom, usable)
+    }
+
+    /// One `code` row per device whose lower bound exceeds `usable`,
+    /// when the verdict is certified-OOM.
+    fn over_capacity(&self, code: Code, usable: Bytes) -> Report {
         let mut report = Report::new();
         if self.verdict != BoundsVerdict::CertifiedOom {
             return report;
@@ -114,7 +126,7 @@ impl ResidencyBounds {
         for (d, &lo) in self.lo.iter().enumerate() {
             if lo > usable {
                 report.push(Diagnostic::error(
-                    Code::CertifiedOom,
+                    code,
                     Context::none().device(d),
                     format!(
                         "device {d} residency is certified to reach at least {lo}, \
@@ -166,8 +178,7 @@ impl Serialize for PlanBounds {
 
 /// The bounds analyzer. Construct once per `(machine, graph)`; call
 /// [`BoundsAnalyzer::certify`] per candidate plan — it is arena-free
-/// (pure byte math), so it can run before the verifier and before any
-/// emulation state exists.
+/// (pure byte math), so it can run before any emulation state exists.
 #[derive(Debug)]
 pub struct BoundsAnalyzer<'a> {
     machine: &'a Machine,
@@ -180,17 +191,28 @@ pub struct BoundsAnalyzer<'a> {
     /// Per-stage bytes of statics with no free site: resident forever
     /// unless a swap directive makes them evictable.
     perm_static: Vec<Bytes>,
-    /// Per-stage `(op_ws, op_index)` sorted descending by bytes, where
-    /// `op_ws` is the op's distinct same-stage non-static write bytes
-    /// (the engine allocates exactly these at op start when absent).
-    /// Sorted for fast re-maximization under per-plan reductions.
-    stage_ws_sorted: Vec<Vec<(Bytes, u32)>>,
-    /// Per-tensor deduped list of same-stage non-static writer ops.
-    write_sites: Vec<Vec<u32>>,
-    /// Per-tensor count of free sites (permanence test).
-    free_sites: Vec<u32>,
+    /// Per-tensor: no op frees it.
+    never_freed: Vec<bool>,
+    /// Per-op bytes of its set: its distinct same-stage non-static reads
+    /// and writes, all resident the instant the op starts.
+    op_set: Vec<Bytes>,
+    /// Sorted `(tensor, op)` pairs, one per op whose set counts the
+    /// tensor only as a write: a recompute directive cuts it there (the
+    /// writer does not materialize it).
+    write_only: Vec<(u32, u32)>,
     /// A byte sum saturated during precomputation.
     precompute_overflow: bool,
+}
+
+/// The largest incoming D2D chunk certain to land on one victim: a
+/// dynamic tensor's chunk, which lands when its producer's swap-out
+/// completes.
+#[derive(Debug, Clone, Copy)]
+struct Landed {
+    tensor: TensorId,
+    chunk: Bytes,
+    /// The victim's permanent statics plus the chunk.
+    floor: Bytes,
 }
 
 impl<'a> BoundsAnalyzer<'a> {
@@ -199,66 +221,48 @@ impl<'a> BoundsAnalyzer<'a> {
         let n_stages = graph.n_stages();
         let n_tensors = graph.tensors().len();
         let mut overflowed = false;
-        let mut add = |acc: &mut Bytes, b: Bytes| {
-            *acc = match acc.checked_add(b) {
-                Some(sum) => sum,
-                None => {
-                    overflowed = true;
-                    acc.saturating_add(b)
-                }
-            };
-        };
+        let mut add = |acc: &mut Bytes, b: Bytes| add_checked(acc, b, &mut overflowed);
 
-        let mut free_sites = vec![0u32; n_tensors];
+        let mut never_freed = vec![true; n_tensors];
         for op in graph.ops() {
             for &t in &op.frees {
-                if let Some(c) = free_sites.get_mut(t.index()) {
-                    *c += 1;
-                }
+                never_freed[t.index()] = false;
             }
         }
 
         let mut stage_total = vec![Bytes::ZERO; n_stages];
         let mut static_total = vec![Bytes::ZERO; n_stages];
         let mut perm_static = vec![Bytes::ZERO; n_stages];
-        for t in graph.tensors() {
-            if t.stage >= n_stages {
-                continue;
-            }
+        for t in graph.tensors().iter().filter(|t| t.stage < n_stages) {
             add(&mut stage_total[t.stage], t.bytes);
             if t.kind.is_static() {
                 add(&mut static_total[t.stage], t.bytes);
-                if free_sites[t.id.index()] == 0 {
+                if never_freed[t.id.index()] {
                     add(&mut perm_static[t.stage], t.bytes);
                 }
             }
         }
 
-        let mut stage_ws_sorted: Vec<Vec<(Bytes, u32)>> = vec![Vec::new(); n_stages];
-        let mut write_sites: Vec<Vec<u32>> = vec![Vec::new(); n_tensors];
+        let mut op_set = Vec::with_capacity(graph.ops().len());
+        let mut write_only = Vec::new();
         let mut seen = Vec::new();
         for (i, op) in graph.ops().iter().enumerate() {
-            if op.stage >= n_stages {
-                continue;
-            }
             seen.clear();
-            let mut ws = Bytes::ZERO;
-            for &t in &op.writes {
-                let Some(tensor) = graph.tensors().get(t.index()) else {
-                    continue;
-                };
+            let mut set = Bytes::ZERO;
+            for &t in op.reads.iter().chain(&op.writes) {
+                let tensor = graph.tensor(t);
                 if tensor.kind.is_static() || tensor.stage != op.stage || seen.contains(&t) {
                     continue;
                 }
                 seen.push(t);
-                add(&mut ws, tensor.bytes);
-                write_sites[t.index()].push(i as u32);
+                add(&mut set, tensor.bytes);
+                if !op.reads.contains(&t) {
+                    write_only.push((t.0, i as u32));
+                }
             }
-            stage_ws_sorted[op.stage].push((ws, i as u32));
+            op_set.push(set);
         }
-        for per_stage in &mut stage_ws_sorted {
-            per_stage.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        }
+        write_only.sort_unstable();
 
         BoundsAnalyzer {
             machine,
@@ -266,9 +270,9 @@ impl<'a> BoundsAnalyzer<'a> {
             stage_total,
             static_total,
             perm_static,
-            stage_ws_sorted,
-            write_sites,
-            free_sites,
+            never_freed,
+            op_set,
+            write_only,
             precompute_overflow: overflowed,
         }
     }
@@ -276,9 +280,53 @@ impl<'a> BoundsAnalyzer<'a> {
     /// Computes the certified per-device residency envelope for one
     /// candidate. Malformed input (short device map, out-of-range
     /// devices, directives on unknown or boundary tensors) degrades the
-    /// verdict to [`BoundsVerdict::Unknown`] — the verifier owns those
-    /// rejections.
+    /// verdict to [`BoundsVerdict::Unknown`]: the simulator refuses
+    /// such a plan, and the verifier reports why.
     pub fn certify(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> ResidencyBounds {
+        self.envelope(plan, device_map).0
+    }
+
+    /// The residency findings `check` reports for one candidate: MP007
+    /// on each device a certified-OOM verdict puts over capacity, MP008
+    /// on each victim whose landed-chunk floor alone is over, and MP012
+    /// when byte arithmetic overflowed.
+    pub fn diagnose(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> Report {
+        let usable = self.machine.gpu().usable_memory();
+        let (bounds, landed) = self.envelope(plan, device_map);
+        let mut report = bounds.over_capacity(Code::CapacityExceeded, usable);
+        if bounds.verdict == BoundsVerdict::CertifiedOom {
+            for (d, l) in landed.iter().enumerate() {
+                let Some(l) = l.filter(|l| l.floor > usable) else {
+                    continue;
+                };
+                report.push(Diagnostic::error(
+                    Code::VictimOverflow,
+                    Context::none().tensor(l.tensor.0).device(d),
+                    format!(
+                        "stripe chunk of {} ({}) leaves victim GPU{d} over capacity \
+                         ({} > {usable})",
+                        l.tensor, l.chunk, l.floor
+                    ),
+                ));
+            }
+        }
+        if bounds.overflowed {
+            report.push(Diagnostic::error(
+                Code::Overflow,
+                Context::none(),
+                "byte arithmetic overflowed during analysis; capacity verdicts unreliable",
+            ));
+        }
+        report
+    }
+
+    /// The residency envelope plus, per device, the largest incoming
+    /// chunk certain to land there.
+    fn envelope(
+        &self,
+        plan: &InstrumentationPlan,
+        device_map: &DeviceMap,
+    ) -> (ResidencyBounds, Vec<Option<Landed>>) {
         let n_stages = self.graph.n_stages();
         let n_tensors = self.graph.tensors().len();
         let gpus = self.machine.gpu_count();
@@ -286,118 +334,117 @@ impl<'a> BoundsAnalyzer<'a> {
         let mut overflowed = self.precompute_overflow;
         let mut untrusted = device_map.len() != n_stages;
 
-        // Resolve each stage's device once; out-of-range maps are the
-        // verifier's MP011 problem, not ours.
+        // Resolve each stage's device once; a short or out-of-range map
+        // leaves its stages unplaced and the verdict untrusted.
         let device_of: Vec<Option<usize>> = (0..n_stages)
             .map(|s| {
-                let d = (s < device_map.len()).then(|| device_map.device_of(s).index());
-                match d {
-                    Some(d) if d < gpus => Some(d),
-                    Some(_) => {
-                        untrusted = true;
-                        None
-                    }
-                    None => {
-                        untrusted = true;
-                        None
-                    }
-                }
+                let d = (s < device_map.len())
+                    .then(|| device_map.device_of(s).index())
+                    .filter(|&d| d < gpus);
+                untrusted |= d.is_none();
+                d
             })
             .collect();
-
-        let add = |acc: &mut Bytes, b: Bytes, overflowed: &mut bool| {
-            *acc = match acc.checked_add(b) {
-                Some(sum) => sum,
-                None => {
-                    *overflowed = true;
-                    acc.saturating_add(b)
-                }
-            };
-        };
 
         // Upper envelope seed and t=0 seed: everything homed per stage.
         let mut hi = vec![Bytes::ZERO; gpus];
         let mut init = vec![Bytes::ZERO; gpus];
-        for (s, dev) in device_of.iter().enumerate().take(n_stages) {
+        for (s, dev) in device_of.iter().enumerate() {
             if let Some(d) = *dev {
-                add(&mut hi[d], self.stage_total[s], &mut overflowed);
-                add(&mut init[d], self.static_total[s], &mut overflowed);
+                add_checked(&mut hi[d], self.stage_total[s], &mut overflowed);
+                add_checked(&mut init[d], self.static_total[s], &mut overflowed);
             }
         }
 
-        // Walk the directives: adjust the t=0 picture, accumulate
-        // stripe-chunk bytes, and collect per-op working-set reductions.
+        // Walk the directives: adjust the t=0 picture and the permanent
+        // core, accumulate stripe-chunk bytes, note landed chunks, and
+        // collect per-op set cuts.
         let mut perm = self.perm_static.clone();
-        let mut ws_cut: BTreeMap<u32, Bytes> = BTreeMap::new();
+        let mut op_set = self.op_set.clone();
+        let mut chunks: Vec<Option<(Bytes, TensorId)>> = vec![None; gpus];
         for (t, directive) in plan.iter() {
             if t.index() >= n_tensors {
                 untrusted = true;
                 continue;
             }
             let tensor = self.graph.tensor(t);
-            if tensor.kind == TensorKind::Boundary {
+            if tensor.kind == TensorKind::Boundary || tensor.stage >= n_stages {
                 untrusted = true;
                 continue;
             }
-            // Any directive removes the tensor from its writers' start
-            // allocations (swapped tensors are imported later and
-            // recomputed tensors are re-materialized by their readers).
-            if !tensor.kind.is_static() {
-                for &op in &self.write_sites[t.index()] {
-                    let cut = ws_cut.entry(op).or_insert(Bytes::ZERO);
-                    *cut = cut.saturating_add(tensor.bytes);
+            let is_static = tensor.kind.is_static();
+            match directive {
+                // A recomputed tensor is materialized inside its
+                // readers, not by a writer that does not read it.
+                MemoryDirective::Recompute => {
+                    let from = self.write_only.partition_point(|&(x, _)| x < t.0);
+                    let sites = self.write_only[from..]
+                        .iter()
+                        .take_while(|&&(x, _)| x == t.0);
+                    for &(_, op) in sites {
+                        let set = &mut op_set[op as usize];
+                        *set = set.saturating_sub(tensor.bytes);
+                    }
                 }
-            }
-            let is_swap = !matches!(directive, MemoryDirective::Recompute);
-            if tensor.kind.is_static() && is_swap && tensor.stage < n_stages {
                 // Swapped statics start elsewhere (host or peers) and
                 // stop being part of the permanent core.
-                if let Some(d) = device_of[tensor.stage] {
-                    init[d] = init[d].saturating_sub(tensor.bytes);
+                _ if is_static => {
+                    if let Some(d) = device_of[tensor.stage] {
+                        init[d] = init[d].saturating_sub(tensor.bytes);
+                    }
+                    if self.never_freed[t.index()] {
+                        perm[tensor.stage] = perm[tensor.stage].saturating_sub(tensor.bytes);
+                    }
                 }
-                if self.free_sites[t.index()] == 0 {
-                    perm[tensor.stage] = perm[tensor.stage].saturating_sub(tensor.bytes);
-                }
+                _ => {}
             }
-            if let MemoryDirective::SwapD2d(stripe) = directive {
-                for chunk in stripe.chunks() {
-                    let d = chunk.target.index();
-                    if d >= gpus {
-                        untrusted = true;
-                        continue;
-                    }
-                    add(&mut hi[d], chunk.bytes, &mut overflowed);
-                    if tensor.kind.is_static() {
-                        // Static stripe chunks are materialized at t=0.
-                        add(&mut init[d], chunk.bytes, &mut overflowed);
-                    }
+            let MemoryDirective::SwapD2d(stripe) = directive else {
+                continue;
+            };
+            let lands = !is_static && self.graph.writer_count(t) > 0;
+            for chunk in stripe.chunks() {
+                let d = chunk.target.index();
+                if d >= gpus {
+                    untrusted = true;
+                    continue;
+                }
+                add_checked(&mut hi[d], chunk.bytes, &mut overflowed);
+                if is_static {
+                    // Static stripe chunks are materialized at t=0.
+                    add_checked(&mut init[d], chunk.bytes, &mut overflowed);
+                } else if lands && chunks[d].is_none_or(|(b, _)| chunk.bytes > b) {
+                    chunks[d] = Some((chunk.bytes, t));
                 }
             }
         }
 
-        // Lower envelope: max of the exact t=0 residency and the
-        // permanent core plus the largest surviving op write set.
-        let mut lo = init.clone();
-        for (s, per_stage) in self.stage_ws_sorted.iter().enumerate() {
-            let Some(d) = device_of[s] else { continue };
-            let mut ws_max = Bytes::ZERO;
-            for &(base, op) in per_stage {
-                match ws_cut.get(&op) {
-                    // Unreduced entry: nothing later in the descending
-                    // order can beat it.
-                    None => {
-                        ws_max = ws_max.max(base);
-                        break;
-                    }
-                    Some(&cut) => ws_max = ws_max.max(base.saturating_sub(cut)),
-                }
-                if base <= ws_max {
-                    break;
-                }
+        // Lower envelope: the max of the witnesses below, each a
+        // residency some instant of every completed run carries.
+        let mut lo = init;
+        // The permanent core plus the largest op set left after cuts,
+        // resident together when that op starts.
+        for (op, &set) in self.graph.ops().iter().zip(&op_set) {
+            if let Some(d) = device_of[op.stage] {
+                lo[d] = lo[d].max(perm[op.stage].saturating_add(set));
             }
-            let floor = perm[s].saturating_add(ws_max);
-            lo[d] = lo[d].max(floor);
         }
+        // The victim's permanent core plus its largest landed chunk,
+        // resident together when the chunk's swap-out completes.
+        let landed: Vec<Option<Landed>> = (0..gpus)
+            .map(|d| {
+                let (chunk, tensor) = chunks[d]?;
+                let victim = device_map.stage_of(DeviceId(d)).filter(|&s| s < n_stages);
+                let floor = victim
+                    .map_or(Bytes::ZERO, |s| perm[s])
+                    .saturating_add(chunk);
+                lo[d] = lo[d].max(floor);
+                Some(Landed {
+                    tensor,
+                    chunk,
+                    floor,
+                })
+            })
+            .collect();
 
         let certified_oom = !untrusted && lo.iter().any(|&b| b > usable);
         let certified_fit = !untrusted && !overflowed && hi.iter().all(|&b| b <= usable);
@@ -408,12 +455,13 @@ impl<'a> BoundsAnalyzer<'a> {
         } else {
             BoundsVerdict::Unknown
         };
-        ResidencyBounds {
+        let bounds = ResidencyBounds {
             lo,
             hi,
             verdict,
             overflowed,
-        }
+        };
+        (bounds, landed)
     }
 
     /// [`BoundsAnalyzer::certify`] plus the makespan interval from the
@@ -434,6 +482,14 @@ impl<'a> BoundsAnalyzer<'a> {
     }
 }
 
+/// `acc += b`, saturating and raising `overflowed` on a would-be wrap.
+fn add_checked(acc: &mut Bytes, b: Bytes, overflowed: &mut bool) {
+    *acc = acc.checked_add(b).unwrap_or_else(|| {
+        *overflowed = true;
+        acc.saturating_add(b)
+    });
+}
+
 /// One-shot convenience: build an analyzer and certify a single plan.
 pub fn certify_plan(
     machine: &Machine,
@@ -449,8 +505,8 @@ pub fn certify_plan(
 mod tests {
     use super::*;
     use mpress_compaction::{HostTier, StripePlan};
-    use mpress_graph::{OpKind, TensorId};
-    use mpress_hw::DeviceId;
+    use mpress_graph::OpKind;
+    use mpress_sim::Simulator;
 
     /// A 2-stage toy job mirroring the verifier's fixture.
     fn toy_graph() -> (TrainingGraph, Vec<TensorId>) {
@@ -538,23 +594,83 @@ mod tests {
 
     #[test]
     fn directive_on_the_big_tensor_withdraws_the_oom_verdict() {
+        // The 100 GiB activation is written and then freed, never read.
         let mut b = TrainingGraph::builder(1);
         let a = b.add_tensor(TensorKind::Activation, Bytes::gib(100), 0, Some(0), Some(0));
         b.add_op(OpKind::Forward, 0, Some(0), 0.01, |op| op.writes.push(a));
-        b.add_op(OpKind::Backward, 0, Some(0), 0.01, |op| {
-            op.reads.push(a);
-            op.frees.push(a);
-        });
+        b.add_op(OpKind::Backward, 0, Some(0), 0.01, |op| op.frees.push(a));
         let g = b.build().expect("valid shape");
         let machine = Machine::dgx1();
         let analyzer = BoundsAnalyzer::new(&machine, &g);
+        let bare = analyzer.certify(&InstrumentationPlan::new(), &DeviceMap::identity(1));
+        assert_eq!(bare.verdict, BoundsVerdict::CertifiedOom);
         let mut plan = InstrumentationPlan::new();
-        plan.assign(a, MemoryDirective::SwapToHost(HostTier::Dram));
+        plan.assign(a, MemoryDirective::Recompute);
         let bounds = analyzer.certify(&plan, &DeviceMap::identity(1));
-        // lo no longer proves the OOM (the plan may page the tensor),
-        // but hi still counts it, so the verdict degrades to Unknown.
+        // Recomputed, it is materialized only inside a reader, and it
+        // has none: lo no longer proves the OOM, but hi still counts
+        // it, so the verdict degrades to Unknown.
         assert_eq!(bounds.verdict, BoundsVerdict::Unknown);
         assert!(bounds.report(machine.gpu().usable_memory()).is_clean());
+    }
+
+    /// Emulates `plan` and checks the run completes with every device's
+    /// peak at or above its certified lower bound.
+    fn assert_lo_holds(
+        machine: &Machine,
+        g: &TrainingGraph,
+        plan: &InstrumentationPlan,
+        map: DeviceMap,
+    ) {
+        let bounds = BoundsAnalyzer::new(machine, g).certify(plan, &map);
+        let sim = Simulator::new(machine, g, plan, map)
+            .run()
+            .expect("valid plan");
+        assert!(sim.oom.is_none(), "{:?}", sim.oom);
+        for (d, (&peak, &lo)) in sim.device_peak.iter().zip(&bounds.lo).enumerate() {
+            assert!(peak >= lo, "gpu{d}: peak {peak} below lo {lo}");
+        }
+    }
+
+    #[test]
+    fn lo_covers_the_largest_read_write_set() {
+        // b0 reads the 8 GiB activation f0 wrote while it writes a
+        // 1 GiB one: both are resident when b0 starts.
+        let mut b = TrainingGraph::builder(1);
+        let big = b.add_tensor(TensorKind::Activation, Bytes::gib(8), 0, Some(0), Some(0));
+        let small = b.add_tensor(TensorKind::Activation, Bytes::gib(1), 0, Some(0), Some(0));
+        b.add_op(OpKind::Forward, 0, Some(0), 0.01, |op| op.writes.push(big));
+        b.add_op(OpKind::Backward, 0, Some(0), 0.01, |op| {
+            op.reads.push(big);
+            op.writes.push(small);
+            op.frees.push(big);
+        });
+        b.add_op(OpKind::Backward, 0, Some(0), 0.01, |op| {
+            op.reads.push(small);
+            op.frees.push(small);
+        });
+        let g = b.build().expect("valid shape");
+        let machine = Machine::dgx1();
+        let plan = InstrumentationPlan::new();
+        let bounds = BoundsAnalyzer::new(&machine, &g).certify(&plan, &DeviceMap::identity(1));
+        assert_eq!(bounds.lo[0], Bytes::gib(9));
+        assert_lo_holds(&machine, &g, &plan, DeviceMap::identity(1));
+    }
+
+    #[test]
+    fn lo_covers_a_landed_incoming_chunk() {
+        let (g, t) = toy_graph();
+        let machine = Machine::dgx1();
+        // f0 produces a0 (2 GiB); its swap-out lands the whole stripe on
+        // GPU2, which hosts no stage.
+        let mut plan = InstrumentationPlan::new();
+        plan.assign(
+            t[2],
+            MemoryDirective::SwapD2d(StripePlan::single(Bytes::gib(2), DeviceId(2), 1)),
+        );
+        let bounds = BoundsAnalyzer::new(&machine, &g).certify(&plan, &DeviceMap::identity(2));
+        assert_eq!(bounds.lo[2], Bytes::gib(2));
+        assert_lo_holds(&machine, &g, &plan, DeviceMap::identity(2));
     }
 
     #[test]

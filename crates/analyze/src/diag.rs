@@ -20,13 +20,13 @@ use std::fmt;
 /// | MP004 | tensor used after an op already freed it |
 /// | MP005 | tensor freed more than once |
 /// | MP006 | invalid D2D stripe (unreachable link, bad lanes, size mismatch) |
-/// | MP007 | analytic residency lower bound exceeds device capacity |
+/// | MP007 | certified residency lower bound exceeds device capacity |
 /// | MP008 | D2D victim device lacks headroom for an incoming stripe chunk |
-/// | MP009 | invalid recompute (non-recomputable tensor, or never dropped) |
-/// | MP010 | directive targets an unknown or boundary tensor |
+/// | MP009 | recompute on a non-recomputable tensor |
+/// | MP010 | directive cannot apply to this tensor |
 /// | MP011 | device map inconsistent with the job or machine |
 /// | MP012 | byte arithmetic overflowed during analysis |
-/// | MP013 | certified residency lower bound exceeds device capacity (bounds pass) |
+/// | MP013 | MP007's finding as labelled by `ResidencyBounds::report` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// MP001: the program-order + cross-stage dependency graph is cyclic.
@@ -40,21 +40,21 @@ pub enum Code {
     UseAfterFree,
     /// MP005: two distinct ops free the same tensor.
     DoubleFree,
-    /// MP006: a D2D stripe names a non-existent link, bad lane counts, a
-    /// missing host tier, or does not cover the tensor's bytes.
+    /// MP006: a D2D stripe names a non-existent link or bad lane counts,
+    /// or does not cover the tensor's bytes.
     BadStripe,
-    /// MP007: even the sound per-device residency *lower bound* exceeds
-    /// usable capacity after swap/recompute effects — the emulator is
-    /// guaranteed to report OOM.
+    /// MP007: the bounds pass certified a device's residency *lower*
+    /// bound above usable capacity after swap/recompute effects — the
+    /// emulator is guaranteed to report OOM.
     CapacityExceeded,
-    /// MP008: a stripe chunk lands on a victim device whose own static
-    /// residency leaves no headroom for it.
+    /// MP008: a stripe chunk certain to land on a victim device leaves
+    /// it over capacity on top of the victim's permanent statics.
     VictimOverflow,
-    /// MP009: recompute on a non-recomputable tensor, or a recomputed
-    /// tensor no op ever drops (it would never leave the device).
+    /// MP009: recompute on a non-recomputable tensor.
     BadRecompute,
-    /// MP010: a directive targets an unknown tensor or an inter-stage
-    /// boundary tensor (which the schedule itself transfers).
+    /// MP010: a directive cannot apply to this tensor: it is unknown, an
+    /// inter-stage boundary tensor (which the schedule itself
+    /// transfers), or a swap of a tensor more than one op writes.
     BadDirectiveTarget,
     /// MP011: the device map does not cover the job's stages or names
     /// devices the machine does not have.
@@ -64,7 +64,8 @@ pub enum Code {
     Overflow,
     /// MP013: the bounds pass certified a device's residency *lower*
     /// envelope above usable capacity — the emulator is guaranteed to
-    /// report OOM (abstract-interpretation counterpart of MP007).
+    /// report OOM. The same finding `check` reports as MP007;
+    /// [`crate::ResidencyBounds::report`] labels it MP013.
     CertifiedOom,
 }
 

@@ -2,10 +2,11 @@
 //!
 //! Three passes, none of which runs the emulator:
 //!
-//! * **Plan verification** ([`PlanVerifier`]): checks a compaction plan
-//!   and device map against the training graph, the machine topology
-//!   and the memory model, reporting findings as stable `MP0xx`
-//!   [`Diagnostic`]s. Exposed as `mpress-cli check`.
+//! * **Plan verification** ([`PlanVerifier`]): checks the graph's shape
+//!   once (MP001–MP005), then reports a candidate's plan and device-map
+//!   errors from the emulator's own validation (MP006, MP009–MP011) and
+//!   its residency findings from the bounds pass (MP007, MP008, MP012),
+//!   as stable `MP0xx` [`Diagnostic`]s. Exposed as `mpress-cli check`.
 //! * **Certified bounds** ([`BoundsAnalyzer`]): an abstract
 //!   interpretation computing per-device residency envelopes and a
 //!   makespan interval with a three-way capacity verdict
@@ -17,9 +18,9 @@
 //!   sources with a ratcheting allowlist.
 //!
 //! The verifier is deliberately **one-sided**: it only reports what it
-//! can prove (a structural malformation, or a residency *lower bound*
-//! already over capacity), so a plan the planner emits and the
-//! emulator accepts is never flagged.
+//! can prove (a plan the emulator refuses, or a residency *lower bound*
+//! already over capacity), so a plan the planner emits and the emulator
+//! accepts is never flagged.
 
 #![forbid(unsafe_code)]
 

@@ -1,22 +1,24 @@
 //! The static plan verifier.
 //!
-//! Checks a compaction plan + device map against the training graph,
-//! the machine topology and the memory model **without running the
-//! emulator**. Graph-shape properties (acyclicity, stream-order
-//! consistency, tensor lifetimes — mirroring `graph/liveness`) are
-//! established once per graph; per-candidate properties (directive
-//! targets, D2D links, analytic residency) are re-checked per plan.
-//!
-//! Every capacity computation is a **sound lower bound**: statics the
-//! plan does not evict plus the largest single-op working set. A plan
-//! the verifier flags with MP007 is *guaranteed* to OOM in the
-//! emulator; a clean verdict promises nothing (the bound is not tight).
+//! Checks a compaction plan + device map against the training graph
+//! and the machine **without running the emulator**. Graph-shape
+//! properties (acyclicity, stream-order consistency, tensor lifetimes —
+//! mirroring `graph/liveness`) are established once per graph
+//! (MP001–MP005). Everything per-candidate comes from a single source:
+//! the plan and simulator validation the emulator itself runs, mapped
+//! onto MP006/MP009/MP010/MP011, and the certified residency lower
+//! bound of [`BoundsAnalyzer`] for MP007/MP008/MP012. A plan flagged
+//! with MP007 is *guaranteed* to OOM in the emulator; a clean verdict
+//! promises nothing (the bound is not tight).
 
+use crate::bounds::BoundsAnalyzer;
 use crate::diag::{Code, Context, Diagnostic, Report};
-use mpress_compaction::{HostTier, InstrumentationPlan, MemoryDirective};
-use mpress_graph::{OpId, TensorId, TensorKind, TrainingGraph};
-use mpress_hw::{Bytes, Machine};
-use mpress_sim::DeviceMap;
+use mpress_compaction::{
+    validate_directive, InstrumentationPlan, MemoryDirective, PlanValidationError,
+};
+use mpress_graph::{OpId, TensorKind, TrainingGraph};
+use mpress_hw::Machine;
+use mpress_sim::{validate_device_map, validate_swap, DeviceMap};
 
 /// Dense ancestor ("happens-before") bitsets over the combined graph
 /// (per-stage program order + cross-stage edges).
@@ -72,21 +74,13 @@ pub struct PlanVerifier<'a> {
     graph: &'a TrainingGraph,
     /// Graph-shape findings (MP001–MP005), computed once.
     graph_diags: Vec<Diagnostic>,
-    /// Per-stage total bytes of static tensors (params/grads/optimizer).
-    static_total: Vec<Bytes>,
-    /// Per-stage maximum over ops of the op's dynamic working set (the
-    /// non-static tensors homed on the stage that must be resident while
-    /// the op runs).
-    max_dynamic_ws: Vec<Bytes>,
-    /// Per-tensor count of free sites.
-    free_sites: Vec<u32>,
-    /// A byte sum overflowed while precomputing (MP012).
-    precompute_overflow: bool,
+    /// The residency findings (MP007/MP008/MP012).
+    bounds: BoundsAnalyzer<'a>,
 }
 
 impl<'a> PlanVerifier<'a> {
-    /// Builds the verifier: runs the graph-shape checks and precomputes
-    /// the per-stage residency tables.
+    /// Builds the verifier: runs the graph-shape checks and builds the
+    /// bounds analyzer's per-stage tables.
     pub fn new(machine: &'a Machine, graph: &'a TrainingGraph) -> Self {
         let n_ops = graph.ops().len();
         let n_tensors = graph.tensors().len();
@@ -98,19 +92,13 @@ impl<'a> PlanVerifier<'a> {
         let mut sites: Vec<TensorSites> = vec![TensorSites::default(); n_tensors];
         for op in graph.ops() {
             for &t in &op.writes {
-                if let Some(s) = sites.get_mut(t.index()) {
-                    s.writers.push(op.id);
-                }
+                sites[t.index()].writers.push(op.id);
             }
             for &t in &op.reads {
-                if let Some(s) = sites.get_mut(t.index()) {
-                    s.readers.push(op.id);
-                }
+                sites[t.index()].readers.push(op.id);
             }
             for &t in &op.frees {
-                if let Some(s) = sites.get_mut(t.index()) {
-                    s.frees.push(op.id);
-                }
+                sites[t.index()].frees.push(op.id);
             }
         }
 
@@ -119,9 +107,7 @@ impl<'a> PlanVerifier<'a> {
         // between devices).
         for op in graph.ops() {
             for &t in op.reads.iter().chain(&op.writes).chain(&op.frees) {
-                let Some(tensor) = graph.tensors().get(t.index()) else {
-                    continue; // builder-validated; defensive
-                };
+                let tensor = graph.tensor(t);
                 if tensor.stage != op.stage && tensor.kind != TensorKind::Boundary {
                     graph_diags.push(Diagnostic::error(
                         Code::StreamOrder,
@@ -159,58 +145,11 @@ impl<'a> PlanVerifier<'a> {
             }
         }
 
-        // Per-stage residency tables (sound lower bounds; see module
-        // docs). All sums are overflow-checked: an overflow flips the
-        // MP012 flag and saturates so later comparisons stay defined.
-        let mut overflowed = false;
-        let mut static_total = vec![Bytes::ZERO; n_stages];
-        for t in graph.tensors() {
-            if t.kind.is_static() && t.stage < n_stages {
-                static_total[t.stage] = match static_total[t.stage].checked_add(t.bytes) {
-                    Some(sum) => sum,
-                    None => {
-                        overflowed = true;
-                        static_total[t.stage].saturating_add(t.bytes)
-                    }
-                };
-            }
-        }
-        let mut max_dynamic_ws = vec![Bytes::ZERO; n_stages];
-        let mut seen: Vec<TensorId> = Vec::new();
-        for op in graph.ops() {
-            if op.stage >= n_stages {
-                continue;
-            }
-            seen.clear();
-            let mut ws = Bytes::ZERO;
-            for &t in op.reads.iter().chain(&op.writes) {
-                let Some(tensor) = graph.tensors().get(t.index()) else {
-                    continue;
-                };
-                if tensor.kind.is_static() || tensor.stage != op.stage || seen.contains(&t) {
-                    continue;
-                }
-                seen.push(t);
-                ws = match ws.checked_add(tensor.bytes) {
-                    Some(sum) => sum,
-                    None => {
-                        overflowed = true;
-                        ws.saturating_add(tensor.bytes)
-                    }
-                };
-            }
-            max_dynamic_ws[op.stage] = max_dynamic_ws[op.stage].max(ws);
-        }
-
-        let free_sites = sites.iter().map(|s| s.frees.len() as u32).collect();
         PlanVerifier {
             machine,
             graph,
             graph_diags,
-            static_total,
-            max_dynamic_ws,
-            free_sites,
-            precompute_overflow: overflowed,
+            bounds: BoundsAnalyzer::new(machine, graph),
         }
     }
 
@@ -272,196 +211,73 @@ impl<'a> PlanVerifier<'a> {
         report
     }
 
-    /// Verifies one candidate: the cached graph findings plus directive,
-    /// link, device-map and analytic-residency checks for this plan.
+    /// Verifies one candidate: the cached graph findings, every
+    /// directive and device-map error the emulator's own validation
+    /// raises, and the residency findings.
     pub fn verify(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> Report {
         let graph = self.graph;
-        let machine = self.machine;
-        let n_stages = graph.n_stages();
-        let n_tensors = graph.tensors().len();
-        let usable = machine.gpu().usable_memory();
-        let topology = machine.topology();
         let mut report = self.graph_report();
-        let mut overflowed = self.precompute_overflow;
 
-        // MP011: the map must cover exactly the job's stages with
-        // devices the machine has. (`DeviceMap` construction already
-        // guarantees in-range uniqueness within its own length.)
-        if device_map.len() != n_stages {
-            report.push(Diagnostic::error(
-                Code::BadDeviceMap,
-                Context::none(),
-                format!(
-                    "device map covers {} stage(s), job has {}",
-                    device_map.len(),
-                    n_stages
-                ),
-            ));
-        }
-        if device_map.len() > machine.gpu_count() {
-            report.push(Diagnostic::error(
-                Code::BadDeviceMap,
-                Context::none(),
-                format!(
-                    "device map names {} device(s), machine has {}",
-                    device_map.len(),
-                    machine.gpu_count()
-                ),
-            ));
-        }
-        let device_of = |stage: usize| -> Option<usize> {
-            (stage < device_map.len() && stage < n_stages)
-                .then(|| device_map.device_of(stage).index())
-                .filter(|&d| d < machine.gpu_count())
+        // MP011: the simulator's device-map check. Stripes are checked
+        // from their home device only on a map that places every stage.
+        let map_ok = match validate_device_map(self.machine, graph, device_map) {
+            Ok(()) => true,
+            Err(e) => {
+                report.push(Diagnostic::error(
+                    Code::BadDeviceMap,
+                    Context::none(),
+                    e.to_string(),
+                ));
+                false
+            }
         };
-
-        // Walk the directives: target validity (MP009/MP010), stripe
-        // validity (MP006), and the post-eviction static base per stage.
-        let mut base = self.static_total.clone();
-        let mut d2d: Vec<(TensorId, &mpress_compaction::StripePlan)> = Vec::new();
+        // MP006/MP009/MP010: each directive through the plan's own
+        // validation, then the simulator's swap-writer and stripe checks.
         for (t, directive) in plan.iter() {
-            if t.index() >= n_tensors {
-                report.push(Diagnostic::error(
-                    Code::BadDirectiveTarget,
-                    Context::none().tensor(t.0),
-                    format!("directive targets unknown tensor {t}"),
-                ));
+            let mut ctx = Context::none().tensor(t.0);
+            if let Err(e) = validate_directive(graph, t, directive) {
+                if let Some(tensor) = graph.tensors().get(t.index()) {
+                    ctx = ctx.stage(tensor.stage);
+                }
+                report.push(Diagnostic::error(plan_code(&e), ctx, e.to_string()));
                 continue;
             }
-            let tensor = graph.tensor(t);
-            let ctx = Context::none().stage(tensor.stage).tensor(t.0);
-            if tensor.kind == TensorKind::Boundary {
+            let stage = graph.tensor(t).stage;
+            ctx = ctx.stage(stage);
+            if let Err(e) = validate_swap(graph, t, directive) {
                 report.push(Diagnostic::error(
                     Code::BadDirectiveTarget,
                     ctx,
-                    format!("directive targets boundary tensor {t} (moved by the schedule)"),
-                ));
-                continue;
-            }
-            match directive {
-                MemoryDirective::Recompute => {
-                    if !tensor.kind.recomputable() {
-                        report.push(Diagnostic::error(
-                            Code::BadRecompute,
-                            ctx,
-                            format!("recompute on non-recomputable {} tensor {t}", tensor.kind),
-                        ));
-                    } else if self.free_sites[t.index()] == 0 {
-                        report.push(Diagnostic::error(
-                            Code::BadRecompute,
-                            ctx,
-                            format!("recomputed tensor {t} is never dropped by any op"),
-                        ));
-                    }
-                }
-                MemoryDirective::SwapToHost(tier) => {
-                    if *tier == HostTier::Nvme && machine.nvme().is_none() {
-                        report.push(Diagnostic::error(
-                            Code::BadStripe,
-                            ctx,
-                            format!("swap of {t} targets the NVMe tier, machine has no NVMe"),
-                        ));
-                    }
-                }
-                MemoryDirective::SwapD2d(stripe) => {
-                    if let Some(src) = (tensor.stage < device_map.len())
-                        .then(|| device_map.device_of(tensor.stage))
-                    {
-                        if let Err(msg) = stripe.validate(src, topology) {
-                            report.push(Diagnostic::error(
-                                Code::BadStripe,
-                                ctx.device(src.index()),
-                                format!("d2d stripe for {t}: {msg}"),
-                            ));
-                        }
-                    }
-                    if stripe.total_bytes() != tensor.bytes {
-                        report.push(Diagnostic::error(
-                            Code::BadStripe,
-                            ctx,
-                            format!(
-                                "d2d stripe moves {} but {t} is {}",
-                                stripe.total_bytes(),
-                                tensor.bytes
-                            ),
-                        ));
-                    }
-                    d2d.push((t, stripe));
-                }
-            }
-            // Any swap directive takes a static tensor out of the
-            // always-resident base (sound: assume it is fully evicted at
-            // the peak).
-            if tensor.kind.is_static()
-                && !matches!(directive, MemoryDirective::Recompute)
-                && tensor.stage < n_stages
-            {
-                base[tensor.stage] = base[tensor.stage].saturating_sub(tensor.bytes);
-            }
-        }
-
-        // MP007: analytic per-device residency lower bound vs capacity.
-        for (stage, (&b, &ws)) in base.iter().zip(&self.max_dynamic_ws).enumerate() {
-            let lower_bound = match b.checked_add(ws) {
-                Some(sum) => sum,
-                None => {
-                    overflowed = true;
-                    b.saturating_add(ws)
-                }
-            };
-            if lower_bound > usable {
-                let mut ctx = Context::none().stage(stage);
-                if let Some(d) = device_of(stage) {
-                    ctx = ctx.device(d);
-                }
-                report.push(Diagnostic::error(
-                    Code::CapacityExceeded,
-                    ctx,
-                    format!(
-                        "stage {stage} needs at least {lower_bound} resident, \
-                         device capacity is {usable}"
-                    ),
+                    e.to_string(),
                 ));
             }
-        }
-
-        // MP008: each stripe chunk must fit in its victim's headroom
-        // (victim's own post-eviction static base + the chunk).
-        for (t, stripe) in d2d {
-            for chunk in stripe.chunks() {
-                let victim_base = device_map
-                    .stage_of(chunk.target)
-                    .and_then(|s| base.get(s).copied())
-                    .unwrap_or(Bytes::ZERO);
-                let needed = match victim_base.checked_add(chunk.bytes) {
-                    Some(sum) => sum,
-                    None => {
-                        overflowed = true;
-                        victim_base.saturating_add(chunk.bytes)
-                    }
-                };
-                if needed > usable {
+            if let (MemoryDirective::SwapD2d(stripe), true) = (directive, map_ok) {
+                let home = device_map.device_of(stage);
+                if let Err(msg) = stripe.validate(home, self.machine.topology()) {
                     report.push(Diagnostic::error(
-                        Code::VictimOverflow,
-                        Context::none().tensor(t.0).device(chunk.target.index()),
-                        format!(
-                            "stripe chunk of {t} ({}) leaves victim {} over capacity \
-                             ({needed} > {usable})",
-                            chunk.bytes, chunk.target
-                        ),
+                        Code::BadStripe,
+                        ctx.device(home.index()),
+                        format!("d2d stripe for {t}: {msg}"),
                     ));
                 }
             }
         }
 
-        if overflowed {
-            report.push(Diagnostic::error(
-                Code::Overflow,
-                Context::none(),
-                "byte arithmetic overflowed during analysis; capacity verdicts unreliable",
-            ));
+        for d in self.bounds.diagnose(plan, device_map).diagnostics() {
+            report.push(d.clone());
         }
         report
+    }
+}
+
+/// The code of a plan-validation error.
+fn plan_code(e: &PlanValidationError) -> Code {
+    match e {
+        PlanValidationError::StripeSizeMismatch { .. } => Code::BadStripe,
+        PlanValidationError::RecomputeNonActivation(_) => Code::BadRecompute,
+        PlanValidationError::UnknownTensor(_) | PlanValidationError::BoundaryTensor(_) => {
+            Code::BadDirectiveTarget
+        }
     }
 }
 
@@ -478,9 +294,9 @@ pub fn check_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpress_compaction::StripePlan;
-    use mpress_graph::OpKind;
-    use mpress_hw::DeviceId;
+    use mpress_compaction::{HostTier, StripePlan};
+    use mpress_graph::{OpKind, TensorId};
+    use mpress_hw::{Bytes, DeviceId};
 
     /// A 2-stage toy job: fwd0 → fwd1 → bwd1 → bwd0, one activation per
     /// stage plus a boundary, and a parameter on each stage.
@@ -706,30 +522,14 @@ mod tests {
     fn mp009_fires_on_bad_recompute() {
         let (g, t) = toy_graph();
         let machine = dgx1();
-        let verifier = PlanVerifier::new(&machine, &g);
         // Recompute on a parameter.
         let mut plan = InstrumentationPlan::new();
         plan.assign(t[0], MemoryDirective::Recompute);
-        let report = verifier.verify(&plan, &DeviceMap::identity(2));
+        let report = PlanVerifier::new(&machine, &g).verify(&plan, &DeviceMap::identity(2));
         assert!(
             report.has_code(Code::BadRecompute),
             "{}",
             report.render_table()
-        );
-
-        // Recompute on an activation nothing ever drops.
-        let mut b = TrainingGraph::builder(1);
-        let a = b.add_tensor(TensorKind::Activation, Bytes::mib(8), 0, Some(0), Some(0));
-        b.add_op(OpKind::Forward, 0, Some(0), 0.01, |op| op.writes.push(a));
-        b.add_op(OpKind::Backward, 0, Some(0), 0.01, |op| op.reads.push(a));
-        let g2 = b.build().expect("valid shape");
-        let mut plan2 = InstrumentationPlan::new();
-        plan2.assign(a, MemoryDirective::Recompute);
-        let report2 = PlanVerifier::new(&machine, &g2).verify(&plan2, &DeviceMap::identity(1));
-        assert!(
-            report2.has_code(Code::BadRecompute),
-            "{}",
-            report2.render_table()
         );
     }
 

@@ -200,37 +200,44 @@ impl InstrumentationPlan {
     ///
     /// # Errors
     ///
-    /// Returns the first violation: unknown tensors, recomputation on
-    /// non-activations, directives on boundary tensors, or stripe totals
-    /// that do not match tensor sizes.
+    /// Returns the first directive, in tensor-id order, that
+    /// [`validate_directive`] rejects.
     pub fn validate(&self, graph: &TrainingGraph) -> Result<(), PlanValidationError> {
-        for (t, d) in self.iter() {
-            if t.index() >= graph.tensors().len() {
-                return Err(PlanValidationError::UnknownTensor(t));
-            }
-            let tensor = graph.tensor(t);
-            if tensor.kind == TensorKind::Boundary {
-                return Err(PlanValidationError::BoundaryTensor(t));
-            }
-            match d {
-                MemoryDirective::Recompute => {
-                    if !tensor.kind.recomputable() {
-                        return Err(PlanValidationError::RecomputeNonActivation(t));
-                    }
-                }
-                MemoryDirective::SwapToHost(_) => {}
-                MemoryDirective::SwapD2d(plan) => {
-                    if plan.total_bytes() != tensor.bytes {
-                        return Err(PlanValidationError::StripeSizeMismatch {
-                            tensor: t,
-                            expected: tensor.bytes,
-                            got: plan.total_bytes(),
-                        });
-                    }
-                }
-            }
+        self.iter()
+            .try_for_each(|(t, d)| validate_directive(graph, t, d))
+    }
+}
+
+/// Validates one directive against a graph.
+///
+/// # Errors
+///
+/// Returns the violation: an unknown tensor, a boundary tensor,
+/// recomputation of a non-activation, or a stripe whose total does not
+/// match the tensor's size.
+pub fn validate_directive(
+    graph: &TrainingGraph,
+    t: TensorId,
+    directive: &MemoryDirective,
+) -> Result<(), PlanValidationError> {
+    let Some(tensor) = graph.tensors().get(t.index()) else {
+        return Err(PlanValidationError::UnknownTensor(t));
+    };
+    if tensor.kind == TensorKind::Boundary {
+        return Err(PlanValidationError::BoundaryTensor(t));
+    }
+    match directive {
+        MemoryDirective::Recompute if !tensor.kind.recomputable() => {
+            Err(PlanValidationError::RecomputeNonActivation(t))
         }
-        Ok(())
+        MemoryDirective::SwapD2d(plan) if plan.total_bytes() != tensor.bytes => {
+            Err(PlanValidationError::StripeSizeMismatch {
+                tensor: t,
+                expected: tensor.bytes,
+                got: plan.total_bytes(),
+            })
+        }
+        _ => Ok(()),
     }
 }
 

@@ -27,6 +27,8 @@ pub mod striping;
 pub mod technique;
 
 pub use cost::CostModel;
-pub use directive::{HostTier, InstrumentationPlan, MemoryDirective, PlanValidationError};
+pub use directive::{
+    validate_directive, HostTier, InstrumentationPlan, MemoryDirective, PlanValidationError,
+};
 pub use striping::{StripeChunk, StripePlan};
 pub use technique::Technique;

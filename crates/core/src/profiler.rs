@@ -167,14 +167,6 @@ fn build_classes(
         }
     }
 
-    let mut writer_counts = vec![0usize; graph.tensors().len()];
-    for op in graph.ops() {
-        for w in &op.writes {
-            writer_counts[w.index()] += 1;
-        }
-    }
-    let writer_count = |t: TensorId| writer_counts[t.index()];
-
     let mut classes = Vec::new();
 
     // --- Activation classes: group by (stage, layer) ------------------------
@@ -195,7 +187,7 @@ fn build_classes(
         classes.push(TensorClass {
             stage,
             kind: TensorClassKind::Activation { layer },
-            swappable: instances.iter().all(|&t| writer_count(t) <= 1),
+            swappable: instances.iter().all(|&t| graph.writer_count(t) <= 1),
             bytes_per_instance: bytes,
             resident_at_peak: in_flight,
             live_interval: if live.is_finite() { live } else { 0.0 },
@@ -226,7 +218,7 @@ fn build_classes(
         classes.push(TensorClass {
             stage,
             kind: TensorClassKind::Stash,
-            swappable: versions.iter().all(|&t| writer_count(t) == 0),
+            swappable: versions.iter().all(|&t| graph.writer_count(t) == 0),
             instances: versions.clone(),
             bytes_per_instance: bytes,
             resident_at_peak: versions.len() as u64,
@@ -261,7 +253,7 @@ fn build_classes(
             resident_at_peak: 1,
             live_interval: interval,
             recompute_time: 0.0,
-            swappable: writer_count(t.id) <= 1,
+            swappable: graph.writer_count(t.id) <= 1,
         });
     }
 

@@ -84,6 +84,9 @@ pub struct TrainingGraph {
     /// Computed once by [`TrainingGraphBuilder::build`]; every other
     /// field is private and never mutated, so it cannot go stale.
     fingerprint: u64,
+    /// tensor -> number of ops that write it, counted once by
+    /// [`TrainingGraphBuilder::build`] like `fingerprint`.
+    writers: Vec<u32>,
 }
 
 impl TrainingGraph {
@@ -110,6 +113,15 @@ impl TrainingGraph {
     /// tables on it and cross-run caches scope their keys by it.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// How many ops write `tensor` (0 for statics nothing updates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn writer_count(&self, tensor: TensorId) -> usize {
+        self.writers[tensor.index()] as usize
     }
 
     /// All tensors.
@@ -335,6 +347,12 @@ impl TrainingGraphBuilder {
                 }));
             }
         }
+        let mut writers = vec![0u32; n_tensors];
+        for op in &self.ops {
+            for &t in &op.writes {
+                writers[t.index()] += 1;
+            }
+        }
         let mut written = vec![false; n_tensors];
         for t in &self.tensors {
             if t.kind.is_static() {
@@ -359,6 +377,7 @@ impl TrainingGraphBuilder {
             cross_deps: self.cross_deps,
             n_stages: self.n_stages,
             fingerprint,
+            writers,
         };
         let order = graph.topo_order()?;
         for id in &order {
@@ -453,6 +472,7 @@ mod tests {
         let a0 = TensorId(0);
         assert_eq!(g.producer_of(a0), Some(OpId(0)));
         assert_eq!(g.consumers_of(a0), vec![OpId(3)]);
+        assert_eq!(g.writer_count(a0), 1);
     }
 
     #[test]

@@ -55,8 +55,6 @@ pub(crate) struct Prebuilt {
     pub(crate) producer_of: Vec<Option<usize>>,
     /// tensor -> sorted reader op indices.
     pub(crate) consumers_of: Csr,
-    /// tensor -> number of writing ops (plan validation).
-    pub(crate) writer_counts: Vec<usize>,
     /// Per-stage ordered compute-op task ids.
     pub(crate) compute_seq: Csr,
     /// Per-stage ordered comm-op task ids (send/recv FIFO chains).
@@ -126,15 +124,13 @@ impl Prebuilt {
             })
             .collect();
 
-        // One pass over the ops gives producer/consumer/writer tables;
+        // One pass over the ops gives producer/consumer tables;
         // scanning per directive would be quadratic in graph size.
         let mut producer_of: Vec<Option<usize>> = vec![None; n_tensors];
         let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n_tensors];
-        let mut writer_counts = vec![0usize; n_tensors];
         for op in graph.ops() {
             for w in &op.writes {
                 producer_of[w.index()].get_or_insert(op.id.index());
-                writer_counts[w.index()] += 1;
             }
             for r in &op.reads {
                 consumers_of[r.index()].push(op.id.index());
@@ -212,7 +208,6 @@ impl Prebuilt {
             ),
             producer_of,
             consumers_of: Csr::from_lists(consumers_of),
-            writer_counts,
             compute_seq: Csr::from_lists(compute_seq),
             comm_seq: Csr::from_lists(comm_seq),
             seq_pos,

@@ -514,9 +514,8 @@ impl<'a> Simulator<'a> {
         arena: &mut SimArena,
         bound: Option<Secs>,
     ) -> Result<SimOutcome, SimError> {
-        self.plan.validate(self.graph)?;
+        self.validate_inputs()?;
         arena.ensure(self.graph);
-        self.validate_inputs(arena.prebuilt())?;
         let bufs = arena.take_buffers();
         let mut state = EngineState::build(
             self.machine,
@@ -539,38 +538,16 @@ impl<'a> Simulator<'a> {
         result.map(SimOutcome::Completed)
     }
 
-    fn validate_inputs(&self, pre: &Prebuilt) -> Result<(), SimError> {
-        if self.device_map.len() != self.graph.n_stages() {
-            return Err(SimError::BadDeviceMap(format!(
-                "map covers {} stages, graph has {}",
-                self.device_map.len(),
-                self.graph.n_stages()
-            )));
-        }
-        for stage in 0..self.graph.n_stages() {
-            let d = self.device_map.device_of(stage);
-            if d.index() >= self.machine.gpu_count() {
-                return Err(SimError::BadDeviceMap(format!(
-                    "{d} beyond machine's {} GPUs",
-                    self.machine.gpu_count()
-                )));
-            }
-        }
+    /// Everything a window checks before it builds: the plan against
+    /// the graph, the device map, then each directive's swap writers and
+    /// D2D stripe. Needs no arena.
+    fn validate_inputs(&self) -> Result<(), SimError> {
+        self.plan.validate(self.graph)?;
+        validate_device_map(self.machine, self.graph, &self.device_map)?;
         for (t, directive) in self.plan.iter() {
-            let tensor = self.graph.tensor(t);
-            let writers = pre.writer_counts[t.index()];
-            match directive {
-                MemoryDirective::SwapToHost(_) | MemoryDirective::SwapD2d(_) => {
-                    if writers > 1 {
-                        return Err(SimError::BadPlan(format!(
-                            "tensor {t} is written by {writers} ops and cannot swap"
-                        )));
-                    }
-                }
-                MemoryDirective::Recompute => {}
-            }
+            validate_swap(self.graph, t, directive)?;
             if let MemoryDirective::SwapD2d(stripe) = directive {
-                let home = self.device_map.device_of(tensor.stage);
+                let home = self.device_map.device_of(self.graph.tensor(t).stage);
                 stripe
                     .validate(home, self.machine.topology())
                     .map_err(SimError::BadPlan)?;
@@ -578,6 +555,58 @@ impl<'a> Simulator<'a> {
         }
         Ok(())
     }
+}
+
+/// Checks that `device_map` places each of `graph`'s stages on a GPU
+/// `machine` has.
+///
+/// # Errors
+///
+/// [`SimError::BadDeviceMap`] for a map of the wrong length or a device
+/// past the machine's GPUs.
+pub fn validate_device_map(
+    machine: &Machine,
+    graph: &TrainingGraph,
+    device_map: &DeviceMap,
+) -> Result<(), SimError> {
+    if device_map.len() != graph.n_stages() {
+        return Err(SimError::BadDeviceMap(format!(
+            "map covers {} stages, graph has {}",
+            device_map.len(),
+            graph.n_stages()
+        )));
+    }
+    for stage in 0..graph.n_stages() {
+        let d = device_map.device_of(stage);
+        if d.index() >= machine.gpu_count() {
+            return Err(SimError::BadDeviceMap(format!(
+                "{d} beyond machine's {} GPUs",
+                machine.gpu_count()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that a swap directive targets a tensor at most one op writes:
+/// the engine exports a swapped tensor once, after its producer. `t`
+/// must be a tensor of `graph` (see [`InstrumentationPlan::validate`]).
+///
+/// # Errors
+///
+/// [`SimError::BadPlan`] for a swap of a tensor with several writers.
+pub fn validate_swap(
+    graph: &TrainingGraph,
+    t: TensorId,
+    directive: &MemoryDirective,
+) -> Result<(), SimError> {
+    let writers = graph.writer_count(t);
+    if writers > 1 && !matches!(directive, MemoryDirective::Recompute) {
+        return Err(SimError::BadPlan(format!(
+            "tensor {t} is written by {writers} ops and cannot swap"
+        )));
+    }
+    Ok(())
 }
 
 /// The compute slot `(stage, position)` whose start leaves about 1.5x

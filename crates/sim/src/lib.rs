@@ -32,7 +32,7 @@ pub mod viz;
 pub use arena::{ArenaPool, SimArena};
 pub use bound::{BoundBase, CostProfile};
 pub use device_map::DeviceMap;
-pub use engine::{SimConfig, SimError, SimOutcome, Simulator};
+pub use engine::{validate_device_map, validate_swap, SimConfig, SimError, SimOutcome, Simulator};
 pub use metrics::{DeviceMetrics, LinkMetrics, SimMetrics, StreamBusy};
 pub use report::{OomEvent, PoolKind, SimReport};
 pub use trace::{TraceEvent, TraceKind};

@@ -13,7 +13,7 @@
 use mpress::{Mpress, MpressPlan, PlannerConfig};
 use mpress_analyze::{check_plan, BoundsAnalyzer, BoundsVerdict, Code};
 use mpress_bench::jobs::{bert_job, gpt_job};
-use mpress_compaction::{InstrumentationPlan, MemoryDirective, StripePlan};
+use mpress_compaction::{HostTier, InstrumentationPlan, MemoryDirective, StripePlan};
 use mpress_graph::TensorKind;
 use mpress_hw::{DeviceId, Machine};
 use mpress_model::{zoo, TransformerConfig};
@@ -168,6 +168,32 @@ fn recompute_on_parameter_yields_mp009() {
         "expected MP009:\n{}",
         report.render_table()
     );
+}
+
+/// Mutation: swap a tensor more than one op writes (a gradient, which
+/// every backward op of its stage accumulates into). The engine exports
+/// a swapped tensor once, after its producer, so it refuses the plan;
+/// the exact code is MP010 (`BadDirectiveTarget`), and it is structural.
+#[test]
+fn multi_writer_swap_yields_mp010() {
+    let (mpress, plan, lowered) = d2d_plan();
+    let graph = &lowered.graph;
+    let target = graph
+        .tensors()
+        .iter()
+        .find(|t| t.kind != TensorKind::Boundary && graph.writer_count(t.id) > 1)
+        .expect("graph has a multi-writer tensor");
+    let mut mutated = plan.instrumentation.clone();
+    mutated.assign(target.id, MemoryDirective::SwapToHost(HostTier::Dram));
+    let report = check_plan(mpress.machine(), graph, &mutated, &plan.device_map);
+    assert!(
+        report.has_code(Code::BadDirectiveTarget),
+        "expected MP010:\n{}",
+        report.render_table()
+    );
+    assert!(report.has_structural_errors());
+    let run = Simulator::new(mpress.machine(), graph, &mutated, plan.device_map.clone()).run();
+    assert!(run.is_err(), "the simulator ran a multi-writer swap");
 }
 
 /// Mutation: a device map covering the wrong number of stages. The
