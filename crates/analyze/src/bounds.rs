@@ -110,15 +110,9 @@ pub struct ResidencyBounds {
 }
 
 impl ResidencyBounds {
-    /// MP013 diagnostics for a certified-OOM verdict (empty report
-    /// otherwise), against the given per-device capacity.
-    pub fn report(&self, usable: Bytes) -> Report {
-        self.over_capacity(Code::CertifiedOom, usable)
-    }
-
-    /// One `code` row per device whose lower bound exceeds `usable`,
+    /// One MP007 row per device whose lower bound exceeds `usable`,
     /// when the verdict is certified-OOM.
-    fn over_capacity(&self, code: Code, usable: Bytes) -> Report {
+    fn over_capacity(&self, usable: Bytes) -> Report {
         let mut report = Report::new();
         if self.verdict != BoundsVerdict::CertifiedOom {
             return report;
@@ -126,7 +120,7 @@ impl ResidencyBounds {
         for (d, &lo) in self.lo.iter().enumerate() {
             if lo > usable {
                 report.push(Diagnostic::error(
-                    code,
+                    Code::CapacityExceeded,
                     Context::none().device(d),
                     format!(
                         "device {d} residency is certified to reach at least {lo}, \
@@ -293,7 +287,7 @@ impl<'a> BoundsAnalyzer<'a> {
     pub fn diagnose(&self, plan: &InstrumentationPlan, device_map: &DeviceMap) -> Report {
         let usable = self.machine.gpu().usable_memory();
         let (bounds, landed) = self.envelope(plan, device_map);
-        let mut report = bounds.over_capacity(Code::CapacityExceeded, usable);
+        let mut report = bounds.over_capacity(usable);
         if bounds.verdict == BoundsVerdict::CertifiedOom {
             for (d, l) in landed.iter().enumerate() {
                 let Some(l) = l.filter(|l| l.floor > usable) else {
@@ -580,11 +574,12 @@ mod tests {
         let g = b.build().expect("valid shape");
         let machine = Machine::dgx1();
         let analyzer = BoundsAnalyzer::new(&machine, &g);
-        let bounds = analyzer.certify(&InstrumentationPlan::new(), &DeviceMap::identity(1));
+        let (plan, map) = (InstrumentationPlan::new(), DeviceMap::identity(1));
+        let bounds = analyzer.certify(&plan, &map);
         assert_eq!(bounds.verdict, BoundsVerdict::CertifiedOom);
-        let report = bounds.report(machine.gpu().usable_memory());
+        let report = analyzer.diagnose(&plan, &map);
         assert!(
-            report.has_code(Code::CertifiedOom),
+            report.has_code(Code::CapacityExceeded),
             "{}",
             report.render_table()
         );
@@ -611,7 +606,7 @@ mod tests {
         // has none: lo no longer proves the OOM, but hi still counts
         // it, so the verdict degrades to Unknown.
         assert_eq!(bounds.verdict, BoundsVerdict::Unknown);
-        assert!(bounds.report(machine.gpu().usable_memory()).is_clean());
+        assert!(analyzer.diagnose(&plan, &DeviceMap::identity(1)).is_clean());
     }
 
     /// Emulates `plan` and checks the run completes with every device's

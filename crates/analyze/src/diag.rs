@@ -26,7 +26,6 @@ use std::fmt;
 /// | MP010 | directive cannot apply to this tensor |
 /// | MP011 | device map inconsistent with the job or machine |
 /// | MP012 | byte arithmetic overflowed during analysis |
-/// | MP013 | MP007's finding as labelled by `ResidencyBounds::report` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// MP001: the program-order + cross-stage dependency graph is cyclic.
@@ -62,11 +61,6 @@ pub enum Code {
     /// MP012: a byte sum overflowed `u64` during analysis; capacity
     /// verdicts for the affected stage are unreliable.
     Overflow,
-    /// MP013: the bounds pass certified a device's residency *lower*
-    /// envelope above usable capacity — the emulator is guaranteed to
-    /// report OOM. The same finding `check` reports as MP007;
-    /// [`crate::ResidencyBounds::report`] labels it MP013.
-    CertifiedOom,
 }
 
 impl Code {
@@ -85,7 +79,6 @@ impl Code {
             Code::BadDirectiveTarget => "MP010",
             Code::BadDeviceMap => "MP011",
             Code::Overflow => "MP012",
-            Code::CertifiedOom => "MP013",
         }
     }
 
@@ -93,13 +86,13 @@ impl Code {
     /// to merely guaranteed to run out of memory).
     ///
     /// Structural codes describe plans the emulator refuses to run;
-    /// capacity findings (MP007/MP008/MP013) and analysis overflow
+    /// capacity findings (MP007/MP008) and analysis overflow
     /// (MP012) describe plans it runs to an OOM (or cannot judge), and
     /// that OOM verdict is what drives the planner's feasibility loop.
     pub fn is_structural(self) -> bool {
         !matches!(
             self,
-            Code::CapacityExceeded | Code::VictimOverflow | Code::Overflow | Code::CertifiedOom
+            Code::CapacityExceeded | Code::VictimOverflow | Code::Overflow
         )
     }
 }
@@ -427,7 +420,6 @@ mod tests {
         assert_eq!(Code::BadDirectiveTarget.as_str(), "MP010");
         assert_eq!(Code::BadDeviceMap.as_str(), "MP011");
         assert_eq!(Code::Overflow.as_str(), "MP012");
-        assert_eq!(Code::CertifiedOom.as_str(), "MP013");
     }
 
     #[test]
@@ -437,7 +429,6 @@ mod tests {
         assert!(!Code::CapacityExceeded.is_structural());
         assert!(!Code::VictimOverflow.is_structural());
         assert!(!Code::Overflow.is_structural());
-        assert!(!Code::CertifiedOom.is_structural());
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! with MP007 is *guaranteed* to OOM in the emulator; a clean verdict
 //! promises nothing (the bound is not tight).
 
-use crate::bounds::BoundsAnalyzer;
+use crate::bounds::{BoundsAnalyzer, PlanBounds};
 use crate::diag::{Code, Context, Diagnostic, Report};
 use mpress_compaction::{
     validate_directive, InstrumentationPlan, MemoryDirective, PlanValidationError,
 };
 use mpress_graph::{OpId, TensorKind, TrainingGraph};
 use mpress_hw::Machine;
-use mpress_sim::{validate_device_map, validate_swap, DeviceMap};
+use mpress_sim::{validate_device_map, validate_swap, DeviceMap, SimArena};
 
 /// Dense ancestor ("happens-before") bitsets over the combined graph
 /// (per-stage program order + cross-stage edges).
@@ -267,6 +267,17 @@ impl<'a> PlanVerifier<'a> {
             report.push(d.clone());
         }
         report
+    }
+
+    /// [`BoundsAnalyzer::certify_with_arena`] through the analyzer this
+    /// verifier holds, so one `check` builds the residency tables once.
+    pub fn certify_with_arena(
+        &self,
+        plan: &InstrumentationPlan,
+        device_map: &DeviceMap,
+        arena: &mut SimArena,
+    ) -> PlanBounds {
+        self.bounds.certify_with_arena(plan, device_map, arena)
     }
 }
 

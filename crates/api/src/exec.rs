@@ -293,21 +293,11 @@ pub struct CheckOutcome {
 pub fn run_check(req: &PlanRequest, ctx: &ApiContext) -> Result<CheckOutcome, ServeError> {
     let (mpress, _, _) = mpress_for(req, ctx, false)?;
     let (plan, lowered) = mpress.plan().map_err(internal)?;
-    let report = mpress_analyze::check_plan(
-        mpress.machine(),
-        &lowered.graph,
-        &plan.instrumentation,
-        &plan.device_map,
-    );
-    let bounds = ctx.arenas.with(|arena| {
-        mpress_analyze::certify_plan(
-            mpress.machine(),
-            &lowered.graph,
-            &plan.instrumentation,
-            &plan.device_map,
-            arena,
-        )
-    });
+    let verifier = mpress_analyze::PlanVerifier::new(mpress.machine(), &lowered.graph);
+    let report = verifier.verify(&plan.instrumentation, &plan.device_map);
+    let bounds = ctx
+        .arenas
+        .with(|arena| verifier.certify_with_arena(&plan.instrumentation, &plan.device_map, arena));
     let response = CheckResponse {
         v: SCHEMA_VERSION,
         model: req.model.clone(),
@@ -527,6 +517,18 @@ mod tests {
             outcome.bounds.residency.verdict.as_str()
         );
         assert_ne!(outcome.response.bounds_verdict, "certified-oom");
+        // One analyzer serves the verdict and the bounds: the same
+        // bounds the one-shot `certify_plan` computes.
+        let one_shot = ctx.arenas.with(|arena| {
+            mpress_analyze::certify_plan(
+                &mpress_hw::Machine::dgx1(),
+                &outcome.lowered.graph,
+                &outcome.plan.instrumentation,
+                &outcome.plan.device_map,
+                arena,
+            )
+        });
+        assert_eq!(outcome.bounds, one_shot);
     }
 
     #[test]

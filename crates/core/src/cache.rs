@@ -40,8 +40,8 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 256;
 /// each, and one search emits hundreds of candidates.
 pub const DEFAULT_EMU_CAPACITY: usize = 65_536;
 
-/// One emulator outcome as the shared cache stores it — mirrors the
-/// planner-internal `Outcome` tuple.
+/// What one emulator window reports back to the search, as the
+/// planner's memo and the shared cache store it.
 pub(crate) type EmuOutcome = (crate::planner::Metric, Option<mpress_sim::OomEvent>);
 
 /// A lazily-ordered LRU map: lookups stamp entries, eviction pops the

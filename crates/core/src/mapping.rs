@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// Donated spare capacity, from one stage's point of view: which peer
 /// devices will accept its D2D stripes, over how many lanes, up to how
 /// many bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpareAssignment {
     /// `per_stage[stage]` = `(donor device, lanes, byte budget)` entries.
     pub per_stage: Vec<Vec<(DeviceId, u32, Bytes)>>,

@@ -405,21 +405,6 @@ fn toggle(
 }
 
 impl SimArena {
-    /// An analytic lower bound on the makespan of `plan` on `machine`:
-    /// no simulated schedule can beat it, because every component is a
-    /// constraint the engine enforces. Thin wrapper over
-    /// [`SimArena::cost_profile`]; see [`CostProfile::makespan_lo`].
-    pub fn makespan_lower_bound(
-        &mut self,
-        machine: &Machine,
-        graph: &TrainingGraph,
-        plan: &InstrumentationPlan,
-        device_map: &DeviceMap,
-    ) -> Secs {
-        self.cost_profile(machine, graph, plan, device_map)
-            .makespan_lo
-    }
-
     /// The analytic cost inputs the bounds pass and the planner's
     /// frontier ordering share, computed in one walk over the plan.
     ///

@@ -279,21 +279,22 @@ fn certified_bounds_contain_emulation_across_zoo_and_machines() {
 /// static — parameters, gradients, optimizer state — on its stage's
 /// GPU, which is certifiably over the 32 GiB budget before any
 /// emulation. The verdict is `certified-oom` and the report carries
-/// MP013 for the overloaded devices, as a *model-capacity* error, not a
+/// MP007 for the overloaded devices, as a *model-capacity* error, not a
 /// structural one (the plan spec itself is well-formed).
 #[test]
-fn bare_plan_on_gpt_15_4b_is_certified_oom_mp013() {
+fn bare_plan_on_gpt_15_4b_exceeds_capacity_mp007() {
     let job = gpt_job(zoo::gpt_15_4b(), Machine::dgx1());
     let lowered = job.lower().expect("paper job lowers");
     let machine = Machine::dgx1();
     let map = DeviceMap::identity(lowered.graph.n_stages());
     let analyzer = BoundsAnalyzer::new(&machine, &lowered.graph);
-    let bounds = analyzer.certify(&InstrumentationPlan::new(), &map);
+    let plan = InstrumentationPlan::new();
+    let bounds = analyzer.certify(&plan, &map);
     assert_eq!(bounds.verdict, BoundsVerdict::CertifiedOom);
-    let report = bounds.report(machine.gpu().usable_memory());
+    let report = analyzer.diagnose(&plan, &map);
     assert!(
-        report.has_code(Code::CertifiedOom),
-        "expected MP013:\n{}",
+        report.has_code(Code::CapacityExceeded),
+        "expected MP007:\n{}",
         report.render_table()
     );
     assert!(report.error_count() > 0);

@@ -197,14 +197,23 @@ fn cancel_mid_search_reports_cancelled_not_bound_exceeded() {
     // bound-exceeded window travel different paths (the former is an
     // error, the latter a conclusive "candidate lost" verdict that is
     // never reported to the caller).
+    // The budgets are spread over the search's own run count, measured
+    // by an uncancelled search, so they stay mid-search when it moves.
     use mpress::{CancelToken, MpressError};
     use mpress_sim::SimError;
-    for budget in [1usize, 3, 8, 21] {
-        let err = Mpress::builder()
+    let plan = |token: CancelToken| {
+        Mpress::builder()
             .job(bert_job(zoo::bert_1_67b(), Machine::dgx1()))
-            .cancel(CancelToken::with_run_budget(budget))
+            .cancel(token)
             .build()
             .plan()
+    };
+    let unlimited = CancelToken::new();
+    plan(unlimited.clone()).expect("an unlimited token never trips");
+    let n = unlimited.runs_charged();
+    assert!(n >= 5, "the search runs {n} windows");
+    for budget in [1, n / 4, n / 2, n - 1] {
+        let err = plan(CancelToken::with_run_budget(budget))
             .expect_err("the run budget trips mid-search");
         match err {
             MpressError::Simulation(SimError::Cancelled) => {}

@@ -348,7 +348,7 @@ proptest! {
         let machine = mpress_hw::Machine::dgx1();
         let map = DeviceMap::identity(stages);
         let mut arena = SimArena::new();
-        let lb = arena.makespan_lower_bound(&machine, &lowered.graph, &plan, &map);
+        let lb = arena.cost_profile(&machine, &lowered.graph, &plan, &map).makespan_lo;
         let report = Simulator::new(&machine, &lowered.graph, &plan, map)
             .run_in(&mut arena)
             .expect("engine must terminate");
