@@ -16,8 +16,9 @@
 //!   planner/emulator/analysis crates (`core`, `sim`, `analyze`):
 //!   iteration order varies run to run, so those paths must use ordered
 //!   containers or sort before iterating.
-//! * **panic-site** — `unwrap()`/`expect()`/`panic!` in library code
-//!   outside `#[cfg(test)]`: robustness hazards to burn down over time.
+//! * **panic-site** — `unwrap()`/`expect()`/`panic!`/`unreachable!`/
+//!   `todo!`/`unimplemented!` in library code outside `#[cfg(test)]`:
+//!   robustness hazards to burn down over time.
 //!
 //! Counts are compared against a checked-in allowlist
 //! (`lint_allowlist.txt`) that can only **ratchet down**: more
@@ -41,7 +42,7 @@ pub enum Rule {
     /// Hash-ordered *iteration* in deterministic planner/sim/analyze
     /// paths.
     HashIteration,
-    /// `unwrap()`/`expect()`/`panic!` in library code.
+    /// `unwrap()`/`expect()` and the panicking macros in library code.
     PanicSite,
 }
 
@@ -320,7 +321,10 @@ pub fn count_rule(masked: &str, rule: Rule) -> usize {
             hits
         }
         Rule::PanicSite => {
-            let mut hits = count_token(masked, "panic!");
+            let mut hits = ["panic!", "unreachable!", "todo!", "unimplemented!"]
+                .iter()
+                .map(|mac| count_token(masked, mac))
+                .sum::<usize>();
             // Method calls: require the exact call shape so
             // `unwrap_or(...)`/`expect_err(...)` don't match.
             hits += masked.match_indices(".unwrap()").count();
@@ -542,6 +546,14 @@ mod tests {
         let masked =
             mask_source("fn f() { a.expect_err(\"x\"); b.unwrap_or(3); c.expect(\"y\"); }");
         assert_eq!(count_rule(&masked, Rule::PanicSite), 1);
+    }
+
+    #[test]
+    fn panicking_macros_count_as_whole_tokens() {
+        let masked = mask_source(
+            "fn f() { unreachable!(); todo!(); unimplemented!(\"x\"); my_todo!(); debug_assert!(a); }",
+        );
+        assert_eq!(count_rule(&masked, Rule::PanicSite), 3, "{masked}");
     }
 
     #[test]

@@ -361,10 +361,34 @@ fn stats_body(shared: &Shared) -> Value {
     ])
 }
 
+/// Writes queued response lines to `out` until the channel closes or a
+/// write fails. It blocks for one line, drains every line already
+/// queued behind it into one reused buffer, each with its `'\n'`, and
+/// sends the batch with a single `write_all`. Two writes per line
+/// would leave the newline to Nagle's algorithm, which holds it until
+/// the client's delayed ACK (about 40 ms on Linux loopback).
+fn write_responses(rx: &mpsc::Receiver<String>, out: &mut impl Write) {
+    let mut batch = Vec::new();
+    while let Ok(first) = rx.recv() {
+        batch.clear();
+        for line in std::iter::once(first).chain(rx.try_iter()) {
+            batch.extend_from_slice(line.as_bytes());
+            batch.push(b'\n');
+        }
+        if out.write_all(&batch).is_err() {
+            break;
+        }
+    }
+}
+
 /// One connection: a reader loop on this thread plus a writer thread
 /// fed over a channel (the batcher routes responses into the same
 /// channel, so writes never interleave mid-line).
 fn handle_connection(shared: &Shared, stream: TcpStream) {
+    // Each batch is one whole write: send it now rather than wait for
+    // the ACK of the previous one. Without it the connection still
+    // works, only slower, so a failure here is not fatal.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -372,12 +396,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let (tx, rx) = mpsc::channel::<String>();
     let writer = thread::spawn(move || {
         let mut stream = stream;
-        for line in rx {
-            if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
-                break;
-            }
-            let _ = stream.flush();
-        }
+        write_responses(&rx, &mut stream);
         let _ = stream.shutdown(Shutdown::Both);
     });
     let mut buf = Vec::new();
@@ -548,6 +567,73 @@ mod tests {
         assert!(stats.result.is_ok(), "{:?}", stats.result);
         let planned = client.request(&plan("bert-0.35b")).expect("plan");
         assert!(planned.result.is_ok(), "{:?}", planned.result);
+        server.shutdown();
+    }
+
+    /// A `Write` that records the bytes of every `write` call.
+    #[derive(Default)]
+    struct Recorder(Vec<Vec<u8>>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn queued_lines_leave_in_one_write() {
+        let (tx, rx) = mpsc::channel();
+        for line in ["a", "b", "c"] {
+            tx.send(line.to_owned()).expect("queued");
+        }
+        drop(tx);
+        let mut out = Recorder::default();
+        write_responses(&rx, &mut out);
+        assert_eq!(out.0, [b"a\nb\nc\n".to_vec()]);
+    }
+
+    #[test]
+    fn warm_round_trips_do_not_wait_for_delayed_acks() {
+        within(warm_round_trips_body);
+    }
+
+    /// A client that sends each request line in one write on a
+    /// `TCP_NODELAY` socket sees only the daemon's own latency: a
+    /// response split over two writes stalls each round trip for a
+    /// delayed ACK (about 40 ms on Linux loopback). The wall clock is
+    /// what this test measures.
+    #[allow(clippy::disallowed_methods)]
+    fn warm_round_trips_body() {
+        let mut server = start(ServeConfig::default()).expect("binds");
+        let mut stream = TcpStream::connect(server.addr()).expect("connects");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut round_trip = |id: u64| {
+            let line = format!("{}\n", encode_request_line(id, &Request::Stats));
+            let t0 = std::time::Instant::now();
+            stream.write_all(line.as_bytes()).expect("sends");
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("answered");
+            let decoded = mpress_api::decode_response_line(answer.trim_end()).expect("decodes");
+            assert_eq!(decoded.id, id);
+            assert!(decoded.result.is_ok(), "{:?}", decoded.result);
+            t0.elapsed()
+        };
+        for id in 1..=3 {
+            round_trip(id);
+        }
+        let mut rtts: Vec<_> = (4..24).map(&mut round_trip).collect();
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(20),
+            "median stats round trip {median:?}"
+        );
         server.shutdown();
     }
 

@@ -15,9 +15,11 @@
 //!   `overloaded` error while `stats`/`shutdown` (served inline on the
 //!   connection thread) keep working.
 
-use mpress_api::{PlanRequest, Request, ServeError};
+use mpress_api::{decode_response_line, encode_request_line, PlanRequest, Request, ServeError};
 use mpress_serve::{Client, ServeConfig};
+use proptest::prelude::*;
 use serde_json::Value;
+use std::io::{BufRead, BufReader, Write};
 
 fn start_server(config: ServeConfig) -> mpress_serve::ServerHandle {
     mpress_serve::start(config).expect("daemon binds an ephemeral port")
@@ -214,4 +216,110 @@ fn cancelled_shutdown_answers_queued_requests() {
         assert!([id_a, id_b].contains(id), "unexpected response id {id}");
     }
     server.shutdown();
+}
+
+/// The daemon's request-line cap (`MAX_LINE_BYTES` in `mpress-serve`).
+const LINE_CAP: usize = 1 << 20;
+
+/// One fuzzed request line (newline excluded) built from `kind` and
+/// random bytes `raw`, with the id its answer carries: `Some(id)` for a
+/// `stats` request, `None` where the answer is an error.
+fn fuzz_line(kind: u8, raw: &[u16], id: u64) -> (Vec<u8>, Option<u64>) {
+    let bytes = raw.iter().map(|&b| match b as u8 {
+        b'\n' => b'{',
+        b => b,
+    });
+    let line = match kind {
+        // Random bytes.
+        0 => bytes.collect(),
+        // A valid request cut short.
+        1 => {
+            let full = encode_request_line(id, &plan_request());
+            full.as_bytes()[..raw.len() % full.len()].to_vec()
+        }
+        // Blank: whitespace only, or nothing.
+        2 => raw
+            .iter()
+            .map(|&b| [b' ', b'\t', b'\r'][b as usize % 3])
+            .collect(),
+        // Not UTF-8: 0xFF never appears in UTF-8.
+        3 => std::iter::once(0xFF).chain(bytes).collect(),
+        _ => {
+            return (
+                encode_request_line(id, &Request::Stats).into_bytes(),
+                Some(id),
+            )
+        }
+    };
+    (line, None)
+}
+
+/// Whether the daemon skips `line` unanswered: after one trailing `'\r'`
+/// is dropped, it is UTF-8 and only whitespace.
+fn is_blank(line: &[u8]) -> bool {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Random, truncated, blank, non-UTF-8 and over-long lines, mixed
+    /// with `stats` requests on one raw connection: every non-blank line
+    /// gets exactly one response line, in order (an error for each bad
+    /// line, the matching answer for each `stats`), and the connection
+    /// still answers `stats` afterwards.
+    #[test]
+    fn codec_fuzz_answers_every_line_once_in_order(
+        kinds in proptest::collection::vec(0u8..5, 1..12),
+        raws in proptest::collection::vec(proptest::collection::vec(0u16..256, 0..48), 12..13),
+        long_at in 0usize..12,
+    ) {
+        let mut lines: Vec<(Vec<u8>, Option<u64>)> = kinds
+            .iter()
+            .zip(&raws)
+            .enumerate()
+            .map(|(i, (&kind, raw))| fuzz_line(kind, raw, 100 + i as u64))
+            .collect();
+        lines.insert(long_at % (lines.len() + 1), (vec![b'x'; LINE_CAP + 1], None));
+        let expected: Vec<Option<u64>> = lines
+            .iter()
+            .filter(|(line, _)| !is_blank(line))
+            .map(|&(_, id)| id)
+            .collect();
+
+        let mut server = start_server(ServeConfig::default());
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut payload = Vec::new();
+        for (line, _) in &lines {
+            payload.extend_from_slice(line);
+            payload.push(b'\n');
+        }
+        stream.write_all(&payload).expect("sends the fuzzed lines");
+        let mut recv = || {
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("one response line");
+            decode_response_line(answer.trim_end()).expect("a decodable response")
+        };
+        for (i, want) in expected.iter().enumerate() {
+            let got = recv();
+            match want {
+                Some(id) => {
+                    prop_assert_eq!(got.id, *id, "response {} answers the wrong line", i);
+                    prop_assert!(got.result.is_ok(), "stats failed: {:?}", got.result);
+                }
+                None => prop_assert!(got.result.is_err(), "response {} is not an error", i),
+            }
+        }
+        let last = encode_request_line(999, &Request::Stats);
+        stream.write_all(format!("{last}\n").as_bytes()).expect("sends stats");
+        let after = recv();
+        prop_assert_eq!(after.id, 999);
+        prop_assert!(after.result.is_ok(), "stats after the fuzz: {:?}", after.result);
+        server.shutdown();
+    }
 }
