@@ -11,26 +11,36 @@
 //! Each `run_*` entry point returns both the wire response *and* the
 //! rich in-process objects (plan, lowered job, telemetry) so the CLI can
 //! keep rendering its human-readable tables without replanning.
+//!
+//! [`execute`] additionally answers a repeated request from the
+//! context's response memo: the first response computed for a canonical
+//! request encoding ([`request_key`]) is stored, and every later
+//! request with the same encoding gets a clone of it. The `run_*`
+//! functions stay the only implementation of each request kind; the
+//! memo only decides whether to call them.
 
 use crate::names;
 use crate::wire::{
-    CheckResponse, CompareRequest, CompareResponse, CompareRow, PlanRequest, PlanResponse, Request,
-    Response, SavingsRow, ServeError, TrainResponse, SCHEMA_VERSION,
+    encode_request_line, CheckResponse, CompareRequest, CompareResponse, CompareRow, PlanRequest,
+    PlanResponse, Request, Response, SavingsRow, ServeError, TrainResponse, SCHEMA_VERSION,
 };
 use mpress::{
-    CancelToken, Mpress, MpressError, OptimizationSet, PlanCache, PlannerConfig, TelemetryReport,
+    CancelToken, Lru, Mpress, MpressError, OptimizationSet, PlanCache, PlannerConfig,
+    TelemetryReport, DEFAULT_PLAN_CAPACITY,
 };
 use mpress_pipeline::{PipelineJob, ScheduleKind};
 use mpress_sim::ArenaPool;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Shared service state: the process-global plan/emulation cache and the
-/// simulator arena pool.
+/// Shared service state: the process-global plan/emulation cache, the
+/// simulator arena pool and the response memo.
 ///
 /// The CLI builds a fresh context per invocation (cold cache — exactly
 /// the old behaviour); the daemon builds one at startup and routes every
-/// request through it, which is what makes cross-request plan reuse and
-/// arena recycling possible.
+/// request through it, which is what makes cross-request plan reuse,
+/// arena recycling and memoized responses possible.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct ApiContext {
@@ -41,6 +51,9 @@ pub struct ApiContext {
     /// Cooperative cancellation for in-flight planning (set by the
     /// daemon so shutdown can abandon queued work).
     pub cancel: Option<CancelToken>,
+    /// First response per canonical request encoding, shared by every
+    /// clone of the context.
+    responses: Arc<ResponseMemo>,
 }
 
 impl ApiContext {
@@ -55,6 +68,96 @@ impl ApiContext {
         self.cancel = Some(token);
         self
     }
+
+    /// The memoized response for the canonical request encoding `key`
+    /// (see [`request_key`]), counted as a memo hit, or `None`, counted
+    /// as a miss.
+    pub fn remembered(&self, key: &str) -> Option<Response> {
+        let found = self.responses.lru().get(key);
+        let counter = if found.is_some() {
+            &self.responses.hits
+        } else {
+            &self.responses.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// The response memo's counters.
+    pub fn response_stats(&self) -> ResponseMemoStats {
+        let memo = &self.responses;
+        ResponseMemoStats {
+            hits: memo.hits.load(Ordering::Relaxed),
+            misses: memo.misses.load(Ordering::Relaxed),
+            evictions: memo.evictions.load(Ordering::Relaxed),
+            entries: memo.lru().len(),
+        }
+    }
+
+    /// Stores `response` as the answer to `key` (first writer wins).
+    fn remember(&self, key: &str, response: &Response) {
+        let evicted = self
+            .responses
+            .lru()
+            .insert(key.to_owned(), response.clone());
+        self.responses
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
+    }
+}
+
+/// The response memo behind [`ApiContext`]: an LRU map from canonical
+/// request encoding to the first successful response computed for it,
+/// holding as many entries as the plan cache holds plans.
+#[derive(Debug)]
+struct ResponseMemo {
+    lru: Mutex<Lru<String, Response>>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    evictions: AtomicUsize,
+}
+
+impl Default for ResponseMemo {
+    fn default() -> Self {
+        ResponseMemo {
+            lru: Mutex::new(Lru::new(DEFAULT_PLAN_CAPACITY)),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+            evictions: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl ResponseMemo {
+    /// Locks the map even if a panicking thread poisoned it, as the plan
+    /// cache does: every entry is a finished response, and an update cut
+    /// short leaves at worst an entry without a current queue stamp,
+    /// which only delays its eviction.
+    fn lru(&self) -> std::sync::MutexGuard<'_, Lru<String, Response>> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Counter snapshot of an [`ApiContext`]'s response memo. All counts
+/// are lifetime totals of the context and its clones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[non_exhaustive]
+pub struct ResponseMemoStats {
+    /// Requests answered with a memoized response.
+    pub hits: usize,
+    /// Memo lookups that found nothing (the request then ran).
+    pub misses: usize,
+    /// Responses evicted by the LRU policy.
+    pub evictions: usize,
+    /// Responses currently resident.
+    pub entries: usize,
+}
+
+/// The canonical encoding of `req`: its request line with id 0. Equal
+/// requests encode equally whatever id their clients gave them, so this
+/// is the response memo's key and the daemon's in-wave dedup key.
+pub fn request_key(req: &Request) -> String {
+    encode_request_line(0, req)
 }
 
 /// The canonical request-name spelling of a schedule.
@@ -444,16 +547,49 @@ pub fn run_compare(
     })
 }
 
-/// Executes one decoded request end to end, wire type to wire type.
+/// Executes one decoded request end to end, wire type to wire type,
+/// answering from the context's response memo when an equal request
+/// already succeeded on it.
 ///
 /// `Stats` and `Shutdown` are daemon-level concerns (they read server
 /// state, not planner state) and are rejected here — the daemon handles
-/// them before reaching this function.
+/// them before reaching this function. They never reach the memo.
 ///
 /// # Errors
 ///
-/// Any [`ServeError`] from the underlying `run_*` entry point.
+/// Any [`ServeError`] from the underlying `run_*` entry point. Errors
+/// are never memoized: a failing request runs again when repeated.
 pub fn execute(req: &Request, ctx: &ApiContext) -> Result<Response, ServeError> {
+    if matches!(req, Request::Stats | Request::Shutdown) {
+        return run_request(req, ctx);
+    }
+    let key = request_key(req);
+    match ctx.remembered(&key) {
+        Some(response) => Ok(response),
+        None => execute_and_remember(req, &key, ctx),
+    }
+}
+
+/// The miss path of [`execute`] for a request whose memo lookup under
+/// `key` (its [`request_key`]) already missed: runs it and memoizes a
+/// successful response. The daemon calls this from its batch wave after
+/// looking the request up at admission.
+///
+/// # Errors
+///
+/// As [`execute`].
+pub fn execute_and_remember(
+    req: &Request,
+    key: &str,
+    ctx: &ApiContext,
+) -> Result<Response, ServeError> {
+    let response = run_request(req, ctx)?;
+    ctx.remember(key, &response);
+    Ok(response)
+}
+
+/// Runs `req` through its `run_*` entry point.
+fn run_request(req: &Request, ctx: &ApiContext) -> Result<Response, ServeError> {
     match req {
         Request::Plan(r) => Ok(Response::Plan(run_plan(r, ctx)?.response)),
         Request::Train(r) => Ok(Response::Train(run_train(r, ctx, false)?.response)),
@@ -532,15 +668,58 @@ mod tests {
     }
 
     #[test]
-    fn executor_rejects_daemon_kinds() {
+    fn executor_rejects_daemon_kinds_and_never_memoizes_them() {
         let ctx = ApiContext::new();
-        assert_eq!(
-            execute(&Request::Stats, &ctx).unwrap_err().code(),
-            "bad_request"
-        );
-        assert_eq!(
-            execute(&Request::Shutdown, &ctx).unwrap_err().code(),
-            "bad_request"
-        );
+        for _ in 0..2 {
+            for req in [Request::Stats, Request::Shutdown] {
+                assert_eq!(execute(&req, &ctx).unwrap_err().code(), "bad_request");
+            }
+        }
+        assert_eq!(ctx.response_stats(), ResponseMemoStats::default());
+    }
+
+    #[test]
+    fn repeated_execute_is_answered_from_the_memo() {
+        let ctx = ApiContext::new();
+        let req = Request::Train(PlanRequest::new("bert-0.35b").microbatches(4));
+        let first = execute(&req, &ctx).unwrap();
+        let plan_lookups = ctx.cache.stats().plan_misses + ctx.cache.stats().plan_hits;
+        let second = execute(&req, &ctx).unwrap();
+        assert_eq!(first, second);
+        let stats = ctx.response_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // The hit never reached the planner, and a clone of the context
+        // shares the memo.
+        let cache = ctx.cache.stats();
+        assert_eq!(cache.plan_misses + cache.plan_hits, plan_lookups);
+        assert_eq!(execute(&req, &ctx.clone()).unwrap(), first);
+        assert_eq!(ctx.response_stats().hits, 2);
+        // The memoized body is the one a fresh context computes.
+        assert_eq!(execute(&req, &ApiContext::new()).unwrap(), first);
+    }
+
+    #[test]
+    fn errors_are_never_memoized() {
+        let ctx = ApiContext::new();
+        let req = Request::Plan(PlanRequest::new("gpt-99b"));
+        for _ in 0..2 {
+            assert_eq!(execute(&req, &ctx).unwrap_err().code(), "bad_request");
+        }
+        let stats = ctx.response_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
+    }
+
+    #[test]
+    fn memo_map_evicts_the_stalest_response_at_capacity() {
+        let mut lru: Lru<String, Response> = Lru::new(2);
+        assert_eq!(lru.insert("a".to_owned(), Response::Shutdown), 0);
+        assert_eq!(lru.insert("b".to_owned(), Response::Shutdown), 0);
+        // Touch "a" (looked up by `&str`, as the memo does) so "b" is
+        // the stalest, then overflow.
+        assert_eq!(lru.get("a"), Some(Response::Shutdown));
+        assert_eq!(lru.insert("c".to_owned(), Response::Shutdown), 1);
+        assert_eq!(lru.get("b"), None);
+        assert_eq!(lru.len(), 2);
+        assert!(lru.get("a").is_some() && lru.get("c").is_some());
     }
 }

@@ -38,8 +38,8 @@ pub mod names;
 pub mod wire;
 
 pub use exec::{
-    execute, run_check, run_compare, run_plan, run_train, ApiContext, CheckOutcome, CompareOutcome,
-    PlanOutcome, TrainOutcome,
+    execute, execute_and_remember, request_key, run_check, run_compare, run_plan, run_train,
+    ApiContext, CheckOutcome, CompareOutcome, PlanOutcome, ResponseMemoStats, TrainOutcome,
 };
 pub use wire::{
     decode_request_line, decode_response_line, encode_request_line, encode_response_line,

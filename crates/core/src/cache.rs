@@ -27,6 +27,7 @@
 //! abandon in-flight work on shutdown.
 
 use crate::planner::MpressPlan;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -47,8 +48,11 @@ pub(crate) type EmuOutcome = (crate::planner::Metric, Option<mpress_sim::OomEven
 /// A lazily-ordered LRU map: lookups stamp entries, eviction pops the
 /// stalest queue entry whose stamp is still current (classic lazy LRU —
 /// stale queue entries are skipped, not searched for).
+///
+/// Both [`PlanCache`] levels use it, and so does the API layer's
+/// response memo. `new` allocates nothing until the first insert.
 #[derive(Debug)]
-struct Lru<K: Ord + Clone, V> {
+pub struct Lru<K: Ord + Clone, V> {
     map: BTreeMap<K, (V, u64)>,
     queue: VecDeque<(K, u64)>,
     tick: u64,
@@ -56,7 +60,8 @@ struct Lru<K: Ord + Clone, V> {
 }
 
 impl<K: Ord + Clone, V: Clone> Lru<K, V> {
-    fn new(cap: usize) -> Self {
+    /// An empty map holding at most `cap` entries (floored at 1).
+    pub fn new(cap: usize) -> Self {
         Lru {
             map: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -65,18 +70,37 @@ impl<K: Ord + Clone, V: Clone> Lru<K, V> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<V> {
+    /// A clone of `key`'s value, marking it most recently used.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
         self.tick += 1;
         let tick = self.tick;
         let (value, stamp) = self.map.get_mut(key)?;
         *stamp = tick;
         let out = value.clone();
-        self.queue.push_back((key.clone(), tick));
+        self.queue.push_back((key.to_owned(), tick));
+        if self.queue.len() > 2 * self.cap {
+            self.compact();
+        }
         Some(out)
     }
 
+    /// Drops the queue entries whose stamps are stale, keeping the
+    /// current ones in order. Every hit queues one entry, so without
+    /// this a map below capacity (which never evicts) would grow its
+    /// queue by one entry per hit for as long as it lives. Eviction
+    /// order is unchanged: eviction skips stale entries anyway.
+    fn compact(&mut self) {
+        let map = &self.map;
+        self.queue
+            .retain(|(key, stamp)| map.get(key).is_some_and(|(_, s)| s == stamp));
+    }
+
     /// Inserts (first writer wins) and returns evictions performed.
-    fn insert(&mut self, key: K, value: V) -> usize {
+    pub fn insert(&mut self, key: K, value: V) -> usize {
         if self.map.contains_key(&key) {
             return 0;
         }
@@ -101,8 +125,14 @@ impl<K: Ord + Clone, V: Clone> Lru<K, V> {
         evicted
     }
 
-    fn len(&self) -> usize {
+    /// Entries currently resident.
+    pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Whether no entry is resident.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 
@@ -339,6 +369,27 @@ mod tests {
         assert_eq!(lru.get(&2), None);
         assert_eq!(lru.get(&1), Some(10));
         assert_eq!(lru.get(&3), Some(30));
+    }
+
+    #[test]
+    fn lru_queue_stays_bounded_under_repeated_hits() {
+        let mut lru: Lru<u64, u64> = Lru::new(4);
+        lru.insert(1, 10);
+        lru.insert(2, 20);
+        for _ in 0..1_000 {
+            assert_eq!(lru.get(&1), Some(10));
+        }
+        assert!(
+            lru.queue.len() <= 2 * 4,
+            "queue grew to {}",
+            lru.queue.len()
+        );
+        // Compaction kept the order: 2 is still the stalest entry.
+        lru.insert(3, 30);
+        lru.insert(4, 40);
+        assert_eq!(lru.insert(5, 50), 1);
+        assert_eq!(lru.get(&2), None);
+        assert_eq!(lru.get(&1), Some(10));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod profiler;
 pub mod system;
 pub mod telemetry;
 
-pub use cache::{CancelToken, PlanCache, PlanCacheStats};
+pub use cache::{CancelToken, Lru, PlanCache, PlanCacheStats, DEFAULT_PLAN_CAPACITY};
 pub use insights::{GraceHopperNode, GraceHopperProjection};
 pub use mapping::{MappingSearch, SpareAssignment};
 pub use planner::{Metric, MpressPlan, Planner, PlannerConfig, SearchStats};

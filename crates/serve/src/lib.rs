@@ -7,8 +7,10 @@
 //!
 //! The request path is a fixed five-stage pipeline:
 //!
-//! 1. **Admission** — a bounded queue; when it is full the request is
-//!    rejected *immediately* with an explicit
+//! 1. **Admission** — a request that already succeeded is answered
+//!    here from the context's response memo, without queueing. Others
+//!    enter a bounded queue; when it is full the request is rejected
+//!    *immediately* with an explicit
 //!    [`Overloaded`](mpress_api::ServeError::Overloaded) error rather
 //!    than queued into unbounded latency.
 //! 2. **Batching** — a single batcher thread drains up to a configured
@@ -27,10 +29,11 @@
 //! Determinism contract: for any request, the daemon's response body is
 //! byte-identical to what `mpress-cli` prints for the same request with
 //! `--json`, whether the plan came from a cold search, the plan cache,
-//! or in-wave dedup. The integration suite enforces this.
+//! in-wave dedup or the response memo. The integration suite enforces
+//! this.
 //!
-//! `stats` and `shutdown` are answered inline on the connection thread:
-//! they read server state, not planner state, and must keep working
+//! `stats`, `shutdown` and memo hits are answered inline on the
+//! connection thread: they need no planner work, and must keep working
 //! even when the admission queue is full.
 
 #![forbid(unsafe_code)]

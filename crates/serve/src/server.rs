@@ -2,8 +2,8 @@
 
 use mpress::CancelToken;
 use mpress_api::{
-    decode_request_line, encode_request_line, encode_response_line, execute, ApiContext, Request,
-    Response, ServeError,
+    decode_request_line, encode_response_line, execute_and_remember, request_key, ApiContext,
+    Request, Response, ServeError,
 };
 use mpress_obs::MetricsRecorder;
 use serde::Serialize as _;
@@ -70,8 +70,8 @@ impl ServeConfig {
 /// One admitted request waiting for its batch wave.
 struct Job {
     id: u64,
-    /// Canonical request encoding (id-independent), the in-wave dedup
-    /// key.
+    /// Canonical request encoding ([`request_key`]): the in-wave dedup
+    /// key and the response memo's key.
     key: String,
     request: Request,
     reply: mpsc::Sender<String>,
@@ -257,7 +257,8 @@ fn run_batcher(shared: &Shared) {
             }
         }
         let dedup_hits = (batch.len() - uniques.len()) as u64;
-        let results = mpress_par::par_map(&uniques, |(_, req)| execute_caught(req, &shared.ctx));
+        let results =
+            mpress_par::par_map(&uniques, |(key, req)| execute_caught(req, key, &shared.ctx));
         shared.record(|m| {
             m.inc("serve.batches");
             m.observe("serve.batch_size", batch.len() as f64);
@@ -274,16 +275,37 @@ fn run_batcher(shared: &Shared) {
 #[cfg(test)]
 const PANIC_MODEL: &str = "test-panic";
 
-/// Runs one request, answering a panic with an `internal` error so a
-/// bad request cannot take the batcher, and every later wave, down
-/// with it.
-fn execute_caught(req: &Request, ctx: &ApiContext) -> Result<Response, ServeError> {
+/// Model name that makes [`execute_caught`] hold its wave until a test
+/// releases [`STALL`], so unit tests can fill the queue behind a wave
+/// that is still running.
+#[cfg(test)]
+const STALL_MODEL: &str = "test-stall";
+
+/// `(a request is held, held requests may go on)`, and the condvar that
+/// signals either change.
+#[cfg(test)]
+static STALL: (Mutex<(bool, bool)>, Condvar) = (Mutex::new((false, false)), Condvar::new());
+
+/// Runs one queued request through the memo's miss path (its admission
+/// lookup under `key` missed), answering a panic with an `internal`
+/// error so a bad request cannot take the batcher, and every later
+/// wave, down with it.
+fn execute_caught(req: &Request, key: &str, ctx: &ApiContext) -> Result<Response, ServeError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         if matches!(req, Request::Plan(r) if r.model == PANIC_MODEL) {
             panic!("injected panic for {PANIC_MODEL}");
         }
-        execute(req, ctx)
+        #[cfg(test)]
+        if matches!(req, Request::Plan(r) if r.model == STALL_MODEL) {
+            let mut state = recover(&STALL.0);
+            state.0 = true;
+            STALL.1.notify_all();
+            while !state.1 {
+                state = STALL.1.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        execute_and_remember(req, key, ctx)
     }))
     .unwrap_or_else(|payload| {
         let what = payload
@@ -347,7 +369,8 @@ fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Re
     Ok(Some(Line::TooLong))
 }
 
-/// The `stats` response body: service counters plus cache statistics.
+/// The `stats` response body: service counters plus plan-cache and
+/// response-memo statistics.
 fn stats_body(shared: &Shared) -> Value {
     let depth = recover(&shared.queue).len();
     let mut m = recover(&shared.metrics);
@@ -358,6 +381,10 @@ fn stats_body(shared: &Shared) -> Value {
     Value::Object(vec![
         ("service".to_owned(), service),
         ("cache".to_owned(), shared.ctx.cache.stats().to_json()),
+        (
+            "responses".to_owned(),
+            shared.ctx.response_stats().to_json(),
+        ),
     ])
 }
 
@@ -435,6 +462,17 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             }
             Ok(request) => {
                 shared.record(|m| m.inc(&format!("serve.requests.{}", request.kind())));
+                // A request that already succeeded is answered here from
+                // the memo, like `stats`: it never waits behind a wave
+                // and is never overloaded. Once shutdown starts, every
+                // request gets the shutdown error below instead.
+                let key = request_key(&request);
+                if !shared.stop.load(Ordering::SeqCst) {
+                    if let Some(response) = shared.ctx.remembered(&key) {
+                        let _ = tx.send(encode_response_line(id, &Ok(response)));
+                        continue;
+                    }
+                }
                 let verdict = {
                     let mut q = recover(&shared.queue);
                     if shared.stop.load(Ordering::SeqCst) {
@@ -446,9 +484,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     } else {
                         q.push_back(Job {
                             id,
-                            // Re-encode with a fixed id so identical
-                            // requests dedup regardless of client ids.
-                            key: encode_request_line(0, &request),
+                            key,
                             request,
                             reply: tx.clone(),
                         });
@@ -471,7 +507,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 mod tests {
     use super::*;
     use crate::Client;
-    use mpress_api::PlanRequest;
+    use mpress_api::{encode_request_line, PlanRequest};
 
     fn plan(model: &str) -> Request {
         Request::Plan(PlanRequest::new(model).microbatches(4))
@@ -515,6 +551,80 @@ mod tests {
         assert!(planned.result.is_ok(), "{:?}", planned.result);
         let stats = client.request(&Request::Stats).expect("stats");
         assert!(stats.result.is_ok(), "{:?}", stats.result);
+        server.shutdown();
+    }
+
+    #[test]
+    fn memo_hits_are_answered_while_a_wave_stalls_behind_a_full_queue() {
+        within(memo_hit_under_stall_body);
+    }
+
+    fn memo_hit_under_stall_body() {
+        let mut server = start(ServeConfig::default().queue_cap(1).batch_cap(1)).expect("binds");
+        let addr = server.addr();
+        let mut warm = Client::connect(addr).expect("connects");
+        let (_, first) = warm
+            .request(&plan("bert-0.35b"))
+            .expect("plan")
+            .result
+            .expect("plans");
+        // One connection's request holds the batcher in its wave ...
+        let mut stalled = Client::connect(addr).expect("connects");
+        let held = stalled.send(&plan(STALL_MODEL)).expect("sends");
+        {
+            let mut state = recover(&STALL.0);
+            while !state.0 {
+                state = STALL.1.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        // ... another's fills the one-slot queue behind it ...
+        let mut queued = Client::connect(addr).expect("connects");
+        let waiting = queued.send(&plan("bert-0.64b")).expect("sends");
+        {
+            // The batcher is held, so this test is the only thread
+            // waiting for the push's notification.
+            let mut q = recover(&server.shared.queue);
+            while q.is_empty() {
+                q = server
+                    .shared
+                    .ready
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        // ... so a third connection's new request is overloaded, while
+        // its repeat of an answered request still gets the answer.
+        let mut repeat = Client::connect(addr).expect("connects");
+        match repeat
+            .request(&plan("bert-1.67b"))
+            .expect("answered")
+            .result
+        {
+            Err(e) => assert_eq!(e.code(), "overloaded", "{e}"),
+            Ok(ok) => panic!("expected overloaded, got {ok:?}"),
+        }
+        let (_, again) = repeat
+            .request(&plan("bert-0.35b"))
+            .expect("answered")
+            .result
+            .expect("memo hit");
+        assert_eq!(again, first);
+        assert_eq!(server.shared.ctx.response_stats().hits, 1);
+        // Released, the held wave and the queued request finish.
+        {
+            let mut state = recover(&STALL.0);
+            state.1 = true;
+            STALL.1.notify_all();
+        }
+        let answer = stalled.recv().expect("the held request is answered");
+        assert_eq!(answer.id, held);
+        assert_eq!(
+            answer.result.expect_err("no such model").code(),
+            "bad_request"
+        );
+        let answer = queued.recv().expect("the queued request is answered");
+        assert_eq!(answer.id, waiting);
+        assert!(answer.result.is_ok(), "{:?}", answer.result);
         server.shutdown();
     }
 

@@ -17,7 +17,9 @@
 //!
 //! [`ArenaPool`] shares arenas between concurrent callers through one
 //! free list: a checkout pops any idle arena, so a warm arena serves
-//! whichever thread asks next.
+//! whichever thread asks next. The tables are shared too: a fresh arena
+//! starts from the tables of the last arena checked in, so a second
+//! concurrent caller on the same graph does not build them again.
 //!
 //! The arena also hosts the analytic makespan bounds (see
 //! [`crate::bound`]): the op DAG behind their critical path never
@@ -28,12 +30,15 @@ use crate::bound::{BoundDag, BoundScratch};
 use crate::engine::{StreamKind, Task};
 use mpress_graph::{OpKind, TrainingGraph};
 use mpress_hw::{Bytes, Secs};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Plan-independent tables derived from one [`TrainingGraph`].
 ///
 /// Everything here depends only on the graph — op durations are stored
 /// *unfolded* (recomputation folds are applied per run from the plan),
 /// and device placements are resolved per run from the device map.
+/// Immutable once built (the bound DAG fills in once), so arenas share
+/// one copy behind an [`Arc`].
 pub(crate) struct Prebuilt {
     /// Content fingerprint of the source graph; a mismatch rebuilds the
     /// tables (guards against arena reuse across different graphs).
@@ -75,9 +80,9 @@ pub(crate) struct Prebuilt {
     /// op -> its successors over `cross_deps`, in `cross_deps` order.
     pub(crate) succ: Csr,
     /// The lower bound's op DAG, built on the first bound over this
-    /// graph. Simulation runs never touch it, so a fresh arena that only
-    /// simulates never pays for it.
-    pub(crate) dag: std::cell::OnceCell<BoundDag>,
+    /// graph. Simulation runs never touch it, so tables that only ever
+    /// simulate never pay for it.
+    pub(crate) dag: OnceLock<BoundDag>,
 }
 
 impl Prebuilt {
@@ -218,7 +223,7 @@ impl Prebuilt {
                 .collect(),
             op_tasks,
             succ: Csr::from_lists(succ),
-            dag: std::cell::OnceCell::new(),
+            dag: OnceLock::new(),
         }
     }
 }
@@ -351,7 +356,7 @@ pub(crate) struct Buffers {
 /// is always safe, just fastest when the graph is stable.
 #[derive(Default)]
 pub struct SimArena {
-    pub(crate) prebuilt: Option<Prebuilt>,
+    pub(crate) prebuilt: Option<Arc<Prebuilt>>,
     buffers: Buffers,
     /// Start-pass stream visits of the last run.
     stream_visits: usize,
@@ -362,7 +367,7 @@ pub struct SimArena {
 /// A free function so callers can keep borrowing the arena's other
 /// fields alongside the tables.
 pub(crate) fn tables_for<'a>(
-    slot: &'a mut Option<Prebuilt>,
+    slot: &'a mut Option<Arc<Prebuilt>>,
     graph: &TrainingGraph,
 ) -> &'a Prebuilt {
     if slot
@@ -371,7 +376,7 @@ pub(crate) fn tables_for<'a>(
     {
         *slot = None;
     }
-    slot.get_or_insert_with(|| Prebuilt::build(graph))
+    slot.get_or_insert_with(|| Arc::new(Prebuilt::build(graph)))
 }
 
 impl std::fmt::Debug for SimArena {
@@ -389,10 +394,28 @@ impl std::fmt::Debug for SimArena {
 /// windows — within one planner search or across planner instances in a
 /// long-running service — reuse the same prebuilt graph tables and task
 /// buffers. The steady-state pool size is the peak number of concurrent
-/// [`ArenaPool::with`] calls.
+/// [`ArenaPool::with`] calls; all of them share one set of tables per
+/// graph.
 #[derive(Debug, Default, Clone)]
 pub struct ArenaPool {
-    free: std::sync::Arc<std::sync::Mutex<Vec<SimArena>>>,
+    state: Arc<Mutex<PoolState>>,
+}
+
+#[derive(Default)]
+struct PoolState {
+    free: Vec<SimArena>,
+    /// The tables of the last arena checked in, which seed every fresh
+    /// arena (a different graph rebuilds them in [`tables_for`]).
+    tables: Option<Arc<Prebuilt>>,
+}
+
+impl std::fmt::Debug for PoolState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolState")
+            .field("free", &self.free)
+            .field("tables", &self.tables.as_ref().map(|p| p.fingerprint))
+            .finish()
+    }
 }
 
 impl ArenaPool {
@@ -405,21 +428,27 @@ impl ArenaPool {
     /// the arena to the free list for the next window. Concurrent calls
     /// check out distinct arenas, so `f` never contends on arena state.
     pub fn with<T>(&self, f: impl FnOnce(&mut SimArena) -> T) -> T {
-        let mut arena = self
-            .free
-            .lock()
-            .expect("arena pool lock")
-            .pop()
-            .unwrap_or_default();
+        let mut arena = {
+            let mut state = self.state.lock().expect("arena pool lock");
+            let tables = state.tables.clone();
+            state.free.pop().unwrap_or_else(|| SimArena {
+                prebuilt: tables,
+                ..SimArena::default()
+            })
+        };
         let out = f(&mut arena);
-        self.free.lock().expect("arena pool lock").push(arena);
+        let mut state = self.state.lock().expect("arena pool lock");
+        if arena.prebuilt.is_some() {
+            state.tables.clone_from(&arena.prebuilt);
+        }
+        state.free.push(arena);
         out
     }
 
     /// Arenas currently checked in (idle). Steady state equals the peak
     /// concurrency the pool has served.
     pub fn idle(&self) -> usize {
-        self.free.lock().expect("arena pool lock").len()
+        self.state.lock().expect("arena pool lock").free.len()
     }
 }
 
@@ -574,6 +603,33 @@ mod tests {
             );
         }
         assert!(lows[1] > lows[0], "{lows:?}");
+    }
+
+    #[test]
+    fn fresh_pool_arenas_share_the_checked_in_tables() {
+        let (a, b) = (lowered(8, 4), lowered(12, 6));
+        let pool = ArenaPool::new();
+        let tables = |arena: &SimArena| Arc::clone(arena.prebuilt.as_ref().expect("built"));
+        let first = pool.with(|arena| {
+            arena.ensure(&a);
+            tables(arena)
+        });
+        // The outer call takes the idle arena, so the inner one starts a
+        // fresh arena: it begins with the checked-in tables and keeps
+        // them for the same graph ...
+        let (fresh, other) = pool.with(|_| {
+            pool.with(|arena| {
+                arena.ensure(&a);
+                let fresh = tables(arena);
+                // ... and rebuilds them for a different graph.
+                arena.ensure(&b);
+                (fresh, tables(arena))
+            })
+        });
+        assert!(Arc::ptr_eq(&fresh, &first));
+        assert!(!Arc::ptr_eq(&other, &first));
+        assert_eq!(other.fingerprint, b.fingerprint());
+        assert_eq!(pool.idle(), 2);
     }
 
     #[test]

@@ -71,7 +71,8 @@ fn concurrent_identical_clients_get_identical_bytes_and_cache_hits() {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connects");
                     // Two identical requests per client: the repeats
-                    // must come from the plan cache or in-wave dedup.
+                    // must come from the response memo, the plan cache
+                    // or in-wave dedup.
                     let first = body_bytes(&mut client, &plan_request());
                     let second = body_bytes(&mut client, &plan_request());
                     assert_eq!(first, second, "repeat on one connection diverged");
@@ -92,20 +93,28 @@ fn concurrent_identical_clients_get_identical_bytes_and_cache_hits() {
     let mut client = Client::connect(addr).expect("connects");
     let decoded = client.request(&Request::Stats).expect("stats roundtrip");
     let (_, stats) = decoded.result.expect("stats succeeds");
-    let hits = stats
-        .get("cache")
-        .and_then(|c| c.get("plan_hits"))
-        .and_then(Value::as_u64)
-        .expect("stats body carries cache.plan_hits");
+    let field = |section: &str, name: &str| {
+        stats
+            .get(section)
+            .and_then(|c| c.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("stats body carries {section}.{name}"))
+    };
+    let (misses, hits) = (field("cache", "plan_misses"), field("cache", "plan_hits"));
+    let memo_hits = field("responses", "hits");
     let dedup = stats
         .get("service")
         .and_then(|s| s.get("counters"))
         .and_then(|c| c.get("serve.dedup_hits"))
         .and_then(Value::as_u64)
         .unwrap_or(0);
-    assert!(
-        hits + dedup >= 7,
-        "8 identical requests must share one plan (hits {hits}, dedup {dedup})"
+    // Each request is answered exactly one way: from the memo at
+    // admission, by in-wave dedup, or by a run that looks its plan up.
+    assert_eq!(misses, 1, "8 identical requests must run one search");
+    assert_eq!(
+        memo_hits + hits + dedup,
+        7,
+        "the other 7 share that search (memo {memo_hits}, plan cache {hits}, dedup {dedup})"
     );
     server.shutdown();
 }
