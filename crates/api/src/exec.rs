@@ -155,7 +155,7 @@ pub struct ResponseMemoStats {
 
 /// The canonical encoding of `req`: its request line with id 0. Equal
 /// requests encode equally whatever id their clients gave them, so this
-/// is the response memo's key and the daemon's in-wave dedup key.
+/// is the response memo's key.
 pub fn request_key(req: &Request) -> String {
     encode_request_line(0, req)
 }
@@ -572,8 +572,8 @@ pub fn execute(req: &Request, ctx: &ApiContext) -> Result<Response, ServeError> 
 
 /// The miss path of [`execute`] for a request whose memo lookup under
 /// `key` (its [`request_key`]) already missed: runs it and memoizes a
-/// successful response. The daemon calls this from its batch wave after
-/// looking the request up at admission.
+/// successful response. The daemon's workers call this after looking
+/// the request up at admission.
 ///
 /// # Errors
 ///

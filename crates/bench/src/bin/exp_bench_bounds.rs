@@ -20,9 +20,13 @@
 //! `scripts/verify.sh` can gate on it. Output schema:
 //!
 //! ```json
-//! {"wall_s": 8.021, "cases": 100, "violations": 0, "certified_fit": 0,
+//! {"wall_s": 0.569, "cases": 100, "violations": 0, "certified_fit": 0,
 //!  "certified_oom": 12, "unknown": 88}
 //! ```
+//!
+//! `wall_s` is measured, not pinned: it is the run's own wall clock
+//! (the example is one 2-vCPU reading), and no check compares it. The
+//! counts are deterministic.
 //!
 //! Pass `--out PATH` to redirect (default `BENCH_bounds.json`).
 use mpress::Mpress;

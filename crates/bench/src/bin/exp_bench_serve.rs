@@ -19,8 +19,7 @@
 //! ```json
 //! {"clients": 4, "requests": 240, "p50_ms": 1.2, "p99_ms": 40.0,
 //!  "response_hits": 234, "plan_cache_hits": 1, "plan_cache_misses": 5,
-//!  "batches": 4, "dedup_hits": 0, "overloaded": 0, "protocol_errors": 0,
-//!  "byte_identical": true}
+//!  "overloaded": 0, "protocol_errors": 0, "byte_identical": true}
 //! ```
 //!
 //! Flags: `--out PATH` (default `BENCH_serve.json`), `--addr HOST:PORT`
@@ -42,7 +41,7 @@ use std::sync::Mutex;
 const DISTINCT_PLANS: u64 = 5;
 
 /// The fixed request menu every client cycles through. Weighted toward
-/// `plan` (the batching/caching fast path) with one of each other kind.
+/// `plan` (the plan cache's path) with one of each other kind.
 fn menu() -> Vec<Request> {
     vec![
         Request::Plan(PlanRequest::new("bert-0.64b").microbatches(8)),
@@ -87,30 +86,20 @@ fn parse_flags() -> Flags {
             std::process::exit(2);
         })
     };
+    fn number<T: std::str::FromStr>(text: String, flag: &str) -> T {
+        text.parse().unwrap_or_else(|_| {
+            eprintln!("error: {flag} expects a number");
+            std::process::exit(2);
+        })
+    }
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => flags.out = value(&mut args, "--out"),
-            "--addr" => flags.addr = Some(value(&mut args, "--addr")),
-            "--clients" => {
-                flags.clients = value(&mut args, "--clients").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --clients expects an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--requests" => {
-                flags.requests = value(&mut args, "--requests").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --requests expects an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--max-p99-ms" => {
-                flags.max_p99_ms = Some(value(&mut args, "--max-p99-ms").parse().unwrap_or_else(
-                    |_| {
-                        eprintln!("error: --max-p99-ms expects a number");
-                        std::process::exit(2);
-                    },
-                ))
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--out" => flags.out = value(&mut args, flag),
+            "--addr" => flags.addr = Some(value(&mut args, flag)),
+            "--clients" => flags.clients = number(value(&mut args, flag), flag),
+            "--requests" => flags.requests = number(value(&mut args, flag), flag),
+            "--max-p99-ms" => flags.max_p99_ms = Some(number(value(&mut args, flag), flag)),
             "--shutdown" => flags.shutdown = true,
             "--help" | "-h" => {
                 println!(
@@ -194,7 +183,7 @@ fn main() {
                 for i in 0..per_client {
                     // Offset by client index so concurrent clients hit
                     // different entries at the same instant — and the
-                    // same entries at other instants (dedup + cache).
+                    // same entries at other instants (memo + cache).
                     let entry = (client_idx + i) % menu.len();
                     // Latency is measured client-side: the daemon itself
                     // is clock-free by design.
@@ -244,24 +233,16 @@ fn main() {
         eprintln!("error: connecting for stats: {e}");
         std::process::exit(1);
     });
-    let stats = match stats_client.request(&Request::Stats) {
-        Ok(d) => match d.result {
-            Ok((_, body)) => body,
-            Err(e) => {
-                eprintln!("error: stats query failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
+    let (_, stats) = stats_client
+        .request(&Request::Stats)
+        .and_then(|d| d.result)
+        .unwrap_or_else(|e| {
             eprintln!("error: stats query failed: {e}");
             std::process::exit(1);
-        }
-    };
+        });
     let response_hits = counter(&stats, "responses", "hits");
     let plan_cache_hits = counter(&stats, "cache", "plan_hits");
     let plan_cache_misses = counter(&stats, "cache", "plan_misses");
-    let batches = counter(&stats, "service", "serve.batches");
-    let dedup_hits = counter(&stats, "service", "serve.dedup_hits");
     let overloaded = counter(&stats, "service", "serve.rejected.overloaded");
     let protocol_errors = counter(&stats, "service", "serve.request_errors.protocol");
 
@@ -280,8 +261,7 @@ fn main() {
     let json = format!(
         "{{\"clients\": {}, \"requests\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
          \"response_hits\": {response_hits}, \"plan_cache_hits\": {plan_cache_hits}, \
-         \"plan_cache_misses\": {plan_cache_misses}, \
-         \"batches\": {batches}, \"dedup_hits\": {dedup_hits}, \"overloaded\": {overloaded}, \
+         \"plan_cache_misses\": {plan_cache_misses}, \"overloaded\": {overloaded}, \
          \"protocol_errors\": {protocol_errors}, \"byte_identical\": {byte_identical}}}\n",
         flags.clients,
         lat.len(),

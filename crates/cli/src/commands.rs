@@ -545,8 +545,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7077");
     let config = ServeConfig::default()
         .addr(addr)
-        .queue_cap(args.usize_or("queue", 64)?)
-        .batch_cap(args.usize_or("batch", 8)?);
+        .queue_cap(args.usize_or("queue", 64)?);
     let mut handle = mpress_serve::start(config)
         .map_err(|e| CliError::Output(format!("binding {addr}: {e}")))?;
     let bound = handle.addr();

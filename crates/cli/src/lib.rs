@@ -130,8 +130,7 @@ pub fn usage() -> String {
      \x20 insights                    the Sec. V Grace-Hopper projection\n\
      \x20 serve                       run the planning daemon (newline-delimited\n\
      \x20                             v1 JSON over TCP; --addr HOST:PORT, default\n\
-     \x20                             127.0.0.1:7077; --queue N admission slots;\n\
-     \x20                             --batch N requests per wave)\n\
+     \x20                             127.0.0.1:7077; --queue N admission slots)\n\
      \x20 client    --kind K          send one request to a running daemon and\n\
      \x20                             print the response body (K = plan|train|\n\
      \x20                             check|compare|stats|shutdown; --addr as above)\n\

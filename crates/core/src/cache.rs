@@ -8,7 +8,10 @@
 //! * a **plan level** keyed by the request digest
 //!   ([`Mpress::plan_digest`](crate::Mpress::plan_digest)) — a hit skips
 //!   the whole search and returns the previously chosen
-//!   [`MpressPlan`](crate::MpressPlan), byte-identical by construction;
+//!   [`MpressPlan`](crate::MpressPlan), byte-identical by construction.
+//!   It is single-flight ([`PlanCache::plan_or_search`]): a caller whose
+//!   digest is being searched waits for that search instead of running
+//!   its own;
 //! * an **emulation level** keyed by `(job scope, structural plan key)`
 //!   — the planner's structural fingerprint digest (`cache_key`), scoped
 //!   by the job's graph/machine fingerprint so outcomes computed for one
@@ -28,9 +31,9 @@
 
 use crate::planner::MpressPlan;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Default capacity for the plan level: whole plans are large (device
 /// map + per-tensor directives + baseline report), so the menu of
@@ -140,7 +143,8 @@ impl<K: Ord + Clone, V: Clone> Lru<K, V> {
 /// two levels). All counts are process-lifetime totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct PlanCacheStats {
-    /// Plan-level lookups answered with a cached [`MpressPlan`].
+    /// Plan-level lookups answered with a cached [`MpressPlan`],
+    /// including those that waited for another caller's search.
     pub plan_hits: usize,
     /// Plan-level lookups that missed (a full search followed).
     pub plan_misses: usize,
@@ -168,9 +172,26 @@ fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Counts one lookup as a hit or a miss, passing its result through.
+fn tally<T>(found: Option<T>, hits: &AtomicUsize, misses: &AtomicUsize) -> Option<T> {
+    let counter = if found.is_some() { hits } else { misses };
+    counter.fetch_add(1, Ordering::Relaxed);
+    found
+}
+
+/// The plan level: resident plans, and the digests whose first miss is
+/// still searching.
+#[derive(Debug)]
+struct PlanLevel {
+    lru: Lru<u64, MpressPlan>,
+    in_flight: BTreeSet<u64>,
+}
+
 #[derive(Debug)]
 struct PlanCacheInner {
-    plans: Mutex<Lru<u64, MpressPlan>>,
+    plans: Mutex<PlanLevel>,
+    /// Signalled whenever a digest leaves `in_flight`.
+    landed: Condvar,
     emu: Mutex<Lru<(u64, u64), EmuOutcome>>,
     plan_hits: AtomicUsize,
     plan_misses: AtomicUsize,
@@ -207,7 +228,11 @@ impl PlanCache {
     pub fn with_capacity(plans: usize, outcomes: usize) -> Self {
         PlanCache {
             inner: Arc::new(PlanCacheInner {
-                plans: Mutex::new(Lru::new(plans)),
+                plans: Mutex::new(PlanLevel {
+                    lru: Lru::new(plans),
+                    in_flight: BTreeSet::new(),
+                }),
+                landed: Condvar::new(),
                 emu: Mutex::new(Lru::new(outcomes)),
                 plan_hits: AtomicUsize::new(0),
                 plan_misses: AtomicUsize::new(0),
@@ -221,36 +246,62 @@ impl PlanCache {
 
     /// Looks a whole plan up by its request digest.
     pub fn plan_lookup(&self, digest: u64) -> Option<MpressPlan> {
-        let found = recover(&self.inner.plans).get(&digest);
-        let counter = if found.is_some() {
-            &self.inner.plan_hits
-        } else {
-            &self.inner.plan_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        let found = recover(&self.inner.plans).lru.get(&digest);
+        tally(found, &self.inner.plan_hits, &self.inner.plan_misses)
     }
 
     /// Records a chosen plan under its request digest (first writer
     /// wins: concurrent planners racing on the same digest computed
     /// byte-identical plans, so either copy is authoritative).
     pub fn plan_insert(&self, digest: u64, plan: &MpressPlan) {
-        let evicted = recover(&self.inner.plans).insert(digest, plan.clone());
+        let evicted = recover(&self.inner.plans).lru.insert(digest, plan.clone());
         self.inner
             .plan_evictions
             .fetch_add(evicted, Ordering::Relaxed);
     }
 
+    /// The plan for `digest`: the resident one (a hit), or the result
+    /// of `search` (a miss), which is then cached. While one caller's
+    /// search for a digest runs, later callers for it wait and take its
+    /// plan as a hit. If that search fails or panics, its entry is
+    /// cleared and the next waiter searches in its place.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `search` returns.
+    pub fn plan_or_search<E>(
+        &self,
+        digest: u64,
+        search: impl FnOnce() -> Result<MpressPlan, E>,
+    ) -> Result<MpressPlan, E> {
+        let inner = &*self.inner;
+        let mut level = recover(&inner.plans);
+        loop {
+            if let Some(plan) = level.lru.get(&digest) {
+                inner.plan_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(plan);
+            }
+            // Not resident: lead a search unless one is already running.
+            if level.in_flight.insert(digest) {
+                break;
+            }
+            level = inner
+                .landed
+                .wait(level)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(level);
+        inner.plan_misses.fetch_add(1, Ordering::Relaxed);
+        let _flight = Flight { inner, digest };
+        let plan = search()?;
+        self.plan_insert(digest, &plan);
+        Ok(plan)
+    }
+
     /// Shared emulation-outcome lookup, scoped by the job fingerprint.
     pub(crate) fn emu_lookup(&self, scope: u64, key: u64) -> Option<EmuOutcome> {
         let found = recover(&self.inner.emu).get(&(scope, key));
-        let counter = if found.is_some() {
-            &self.inner.emu_hits
-        } else {
-            &self.inner.emu_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        tally(found, &self.inner.emu_hits, &self.inner.emu_misses)
     }
 
     /// Records a shared emulation outcome.
@@ -263,7 +314,7 @@ impl PlanCache {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
-        let plan_entries = recover(&self.inner.plans).len();
+        let plan_entries = recover(&self.inner.plans).lru.len();
         let emu_entries = recover(&self.inner.emu).len();
         PlanCacheStats {
             plan_hits: self.inner.plan_hits.load(Ordering::Relaxed),
@@ -275,6 +326,20 @@ impl PlanCache {
             emu_evictions: self.inner.emu_evictions.load(Ordering::Relaxed),
             emu_entries,
         }
+    }
+}
+
+/// A leader's claim on an in-flight digest. Dropping it, on return or
+/// unwind alike, clears the entry and wakes the digest's waiters.
+struct Flight<'a> {
+    inner: &'a PlanCacheInner,
+    digest: u64,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        recover(&self.inner.plans).in_flight.remove(&self.digest);
+        self.inner.landed.notify_all();
     }
 }
 
@@ -357,6 +422,8 @@ impl CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
 
     #[test]
     fn lru_evicts_stalest_entry() {
@@ -433,22 +500,7 @@ mod tests {
                 per_stage: Vec::new(),
             },
             refinement_rounds: rounds,
-            baseline: mpress_sim::SimReport {
-                makespan: 0.0,
-                op_start: Vec::new(),
-                op_end: Vec::new(),
-                device_peak: Vec::new(),
-                host_peak: mpress_hw::Bytes::ZERO,
-                nvme_peak: mpress_hw::Bytes::ZERO,
-                oom: None,
-                d2d_traffic: mpress_hw::Bytes::ZERO,
-                host_traffic: mpress_hw::Bytes::ZERO,
-                nvme_traffic: mpress_hw::Bytes::ZERO,
-                recompute_time: 0.0,
-                timelines: None,
-                trace: None,
-                metrics: None,
-            },
+            baseline: mpress_sim::SimReport::default(),
             search: crate::planner::SearchStats::default(),
             refine_candidates: Vec::new(),
         }
@@ -521,6 +573,70 @@ mod tests {
         assert!(cache.emu_lookup(7, 7).is_none());
         let stats = cache.stats();
         assert_eq!((stats.plan_entries, stats.plan_hits), (2, 2));
+    }
+
+    type Searched = Result<MpressPlan, &'static str>;
+
+    /// Parks a second caller for digest 1 behind a leader whose search
+    /// is held open, then lets that search end as `leader_ends` says.
+    /// Returns the `refinement_rounds` of the plans the leader (`None`
+    /// if it panicked) and the waiter got; a waiter's own search returns
+    /// plan 2.
+    fn race(cache: &PlanCache, leader_ends: fn() -> Searched) -> [Option<Result<usize, &str>>; 2] {
+        let (started, searching) = mpsc::channel();
+        let (release, held) = mpsc::channel::<()>();
+        let rounds = |r: thread::Result<Searched>| r.ok().map(|r| r.map(|p| p.refinement_rounds));
+        thread::scope(|s| {
+            let leader = s.spawn(move || {
+                cache.plan_or_search(1, || {
+                    started.send(()).expect("test waits");
+                    held.recv().expect("test releases");
+                    leader_ends()
+                })
+            });
+            searching.recv().expect("the leader searches");
+            let tick = recover(&cache.inner.plans).lru.tick;
+            let waiter = s.spawn(|| cache.plan_or_search(1, || Ok(dummy_plan(2))));
+            // The waiter's lookup and the wait after its miss happen
+            // under one hold of the lock, so once its lookup has moved
+            // the tick, it is parked.
+            while recover(&cache.inner.plans).lru.tick == tick {
+                thread::yield_now();
+            }
+            release.send(()).expect("the leader waits");
+            [rounds(leader.join()), rounds(waiter.join())]
+        })
+    }
+
+    #[test]
+    fn a_waiter_takes_the_in_flight_plan_as_a_hit() {
+        let cache = PlanCache::with_capacity(4, 4);
+        let ran = race(&cache, || Ok(dummy_plan(1)));
+        assert_eq!(ran, [Some(Ok(1)), Some(Ok(1))], "the waiter ran no search");
+        let stats = cache.stats();
+        assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_failed_search_leaves_the_waiter_to_search_and_cache() {
+        let cache = PlanCache::with_capacity(4, 4);
+        let ran = race(&cache, || Err("cancelled"));
+        assert_eq!(ran, [Some(Err("cancelled")), Some(Ok(2))]);
+        let stats = cache.stats();
+        assert_eq!((stats.plan_misses, stats.plan_hits), (2, 0));
+        assert_eq!(cache.plan_lookup(1).map(|p| p.refinement_rounds), Some(2));
+    }
+
+    #[test]
+    fn a_panicking_search_clears_its_entry() {
+        let cache = PlanCache::with_capacity(4, 4);
+        let ran = race(&cache, || panic!("the search panicked"));
+        assert_eq!(ran, [None, Some(Ok(2))]);
+        // The cache keeps serving: the waiter's plan, and new searches.
+        let again = cache.plan_or_search(1, || Err("searched again"));
+        assert_eq!(again.map(|p| p.refinement_rounds), Ok(2));
+        let other = cache.plan_or_search(3, || Searched::Ok(dummy_plan(3)));
+        assert_eq!(other.map(|p| p.refinement_rounds), Ok(3));
     }
 
     #[test]

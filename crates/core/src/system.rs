@@ -146,26 +146,24 @@ impl Mpress {
     /// runs fail.
     pub fn plan(&self) -> Result<(MpressPlan, LoweredJob), MpressError> {
         let lowered = self.job.lower()?;
-        let digest = self.plan_digest(&lowered);
-        if let Some(cache) = &self.plan_cache {
-            if let Some(plan) = cache.plan_lookup(digest) {
-                return Ok((plan, lowered));
+        let search = || {
+            let mut planner =
+                Planner::new(self.machine(), &self.job, &lowered, self.planner_config);
+            if let Some(cache) = &self.plan_cache {
+                planner = planner.with_shared_cache(cache.clone(), self.job_scope(&lowered));
             }
-        }
-        let mut planner = Planner::new(self.machine(), &self.job, &lowered, self.planner_config);
-        if let Some(cache) = &self.plan_cache {
-            planner = planner.with_shared_cache(cache.clone(), self.job_scope(&lowered));
-        }
-        if let Some(pool) = &self.arena_pool {
-            planner = planner.with_arena_pool(pool.clone());
-        }
-        if let Some(token) = &self.cancel {
-            planner = planner.with_cancel(token.clone());
-        }
-        let plan = planner.plan()?;
-        if let Some(cache) = &self.plan_cache {
-            cache.plan_insert(digest, &plan);
-        }
+            if let Some(pool) = &self.arena_pool {
+                planner = planner.with_arena_pool(pool.clone());
+            }
+            if let Some(token) = &self.cancel {
+                planner = planner.with_cancel(token.clone());
+            }
+            planner.plan()
+        };
+        let plan = match &self.plan_cache {
+            Some(cache) => cache.plan_or_search(self.plan_digest(&lowered), search),
+            None => search(),
+        }?;
         Ok((plan, lowered))
     }
 
@@ -281,22 +279,7 @@ impl Mpress {
             refinement_rounds: 0,
             search: crate::planner::SearchStats::default(),
             refine_candidates: Vec::new(),
-            baseline: SimReport {
-                makespan: 0.0,
-                op_start: Vec::new(),
-                op_end: Vec::new(),
-                device_peak: Vec::new(),
-                host_peak: Bytes::ZERO,
-                nvme_peak: Bytes::ZERO,
-                oom: None,
-                d2d_traffic: Bytes::ZERO,
-                host_traffic: Bytes::ZERO,
-                nvme_traffic: Bytes::ZERO,
-                recompute_time: 0.0,
-                timelines: None,
-                trace: None,
-                metrics: None,
-            },
+            baseline: SimReport::default(),
         };
         self.simulate(&plan, &lowered)
     }
@@ -343,8 +326,8 @@ impl MpressBuilder {
 
     /// Attaches a process-global [`PlanCache`]: [`Mpress::plan`] first
     /// consults it by [`Mpress::plan_digest`] (a hit returns the cached
-    /// plan without a search), and cache-backed searches share emulation
-    /// outcomes across planner instances. Plans are deterministic, so
+    /// plan without a search, or waits for the search already running
+    /// for it), and cache-backed searches share emulation outcomes. Plans are deterministic, so
     /// cached and freshly planned results are byte-identical — the cache
     /// only changes who pays for the simulator windows.
     pub fn plan_cache(mut self, cache: PlanCache) -> Self {

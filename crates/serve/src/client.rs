@@ -44,12 +44,7 @@ impl Client {
     pub fn send(&mut self, request: &Request) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = encode_request_line(id, request);
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| ServeError::Io(format!("send: {e}")))?;
+        self.send_raw(&encode_request_line(id, request))?;
         Ok(id)
     }
 

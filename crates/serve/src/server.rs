@@ -1,4 +1,4 @@
-//! The daemon: admission queue, batcher, connection threads.
+//! The daemon: admission queue, worker threads, connection threads.
 
 use mpress::CancelToken;
 use mpress_api::{
@@ -29,7 +29,6 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 pub struct ServeConfig {
     addr: String,
     queue_cap: usize,
-    batch_cap: usize,
 }
 
 impl Default for ServeConfig {
@@ -37,7 +36,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             queue_cap: 64,
-            batch_cap: 8,
         }
     }
 }
@@ -58,26 +56,19 @@ impl ServeConfig {
         self.queue_cap = cap;
         self
     }
-
-    /// Sets the maximum requests drained into one batch wave
-    /// (default 8, minimum 1).
-    pub fn batch_cap(mut self, cap: usize) -> Self {
-        self.batch_cap = cap.max(1);
-        self
-    }
 }
 
-/// One admitted request waiting for its batch wave.
+/// One admitted request waiting for a worker.
 struct Job {
     id: u64,
-    /// Canonical request encoding ([`request_key`]): the in-wave dedup
-    /// key and the response memo's key.
+    /// Canonical request encoding ([`request_key`]): the response
+    /// memo's key.
     key: String,
     request: Request,
     reply: mpsc::Sender<String>,
 }
 
-/// State shared by the accept loop, the batcher and every connection.
+/// State shared by the accept loop, the workers and every connection.
 struct Shared {
     ctx: ApiContext,
     cancel: CancelToken,
@@ -86,7 +77,6 @@ struct Shared {
     stop: AtomicBool,
     metrics: Mutex<MetricsRecorder>,
     queue_cap: usize,
-    batch_cap: usize,
     addr: SocketAddr,
 }
 
@@ -110,7 +100,7 @@ fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
-    batcher: Option<thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -122,26 +112,18 @@ impl ServerHandle {
     /// Blocks until the daemon stops on its own — i.e. until a client
     /// sends a `shutdown` request. Does not trigger a shutdown itself.
     pub fn wait(&mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.batcher.take() {
+        for t in self.accept.take().into_iter().chain(self.workers.drain(..)) {
             let _ = t.join();
         }
     }
 
     /// Triggers a graceful shutdown and waits for the accept loop and
-    /// the batcher to finish. In-flight planning is cancelled through
+    /// every worker to finish. In-flight planning is cancelled through
     /// the context's [`CancelToken`]; still-queued requests are
     /// answered with an internal error.
     pub fn shutdown(&mut self) {
         trigger_shutdown(&self.shared);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.batcher.take() {
-            let _ = t.join();
-        }
+        self.wait();
     }
 }
 
@@ -176,13 +158,16 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         stop: AtomicBool::new(false),
         metrics: Mutex::new(MetricsRecorder::new()),
         queue_cap: config.queue_cap,
-        batch_cap: config.batch_cap,
         addr,
     });
-    let batcher = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || run_batcher(&shared))
-    };
+    // Plain threads, not `par_run` lanes: each request's own search
+    // still fans out at full pool width.
+    let workers = (0..mpress_par::pool_width())
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || run_worker(&shared))
+        })
+        .collect();
     let accept = {
         let shared = Arc::clone(&shared);
         thread::spawn(move || {
@@ -199,112 +184,62 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     Ok(ServerHandle {
         shared,
         accept: Some(accept),
-        batcher: Some(batcher),
+        workers,
     })
 }
 
 /// Flips the stop flag once, cancels in-flight planning, wakes the
-/// batcher, and unblocks the accept loop with a self-connection.
+/// workers, and unblocks the accept loop with a self-connection.
 fn trigger_shutdown(shared: &Shared) {
     if shared.stop.swap(true, Ordering::SeqCst) {
         return;
     }
     shared.cancel.cancel();
+    // A worker checks the flag and parks under the queue lock: taking
+    // it here means none is between the two when the wake-up is sent.
+    drop(recover(&shared.queue));
     shared.ready.notify_all();
     let _ = TcpStream::connect(shared.addr);
 }
 
-/// The single batch thread: drain → dedup → one `par_map` wave → route
-/// responses by id. Waves run sequentially, which (together with the
-/// plan cache) is what makes identical requests byte-identical no
-/// matter how they interleave across clients.
-fn run_batcher(shared: &Shared) {
+/// One worker: pops one queued job at a time, runs it and sends its
+/// response at once. Identical requests need no coordination here: the
+/// plan cache runs one search per plan and the planner is deterministic.
+/// On shutdown the first worker to wake answers every queued job with
+/// an `internal` error.
+fn run_worker(shared: &Shared) {
     loop {
-        let mut batch: Vec<Job> = Vec::new();
-        {
+        let job = {
             let mut q = recover(&shared.queue);
-            while q.is_empty() && !shared.stop.load(Ordering::SeqCst) {
+            loop {
+                if shared.stop.load(Ordering::SeqCst) {
+                    for job in q.drain(..) {
+                        let err = Err(ServeError::Internal(
+                            "server shut down before this request ran".to_owned(),
+                        ));
+                        let _ = job.reply.send(encode_response_line(job.id, &err));
+                    }
+                    return;
+                }
+                if let Some(job) = q.pop_front() {
+                    break job;
+                }
                 q = shared.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
-            if shared.stop.load(Ordering::SeqCst) {
-                batch.extend(q.drain(..));
-                drop(q);
-                for job in batch {
-                    let err = Err(ServeError::Internal(
-                        "server shut down before this request ran".to_owned(),
-                    ));
-                    let _ = job.reply.send(encode_response_line(job.id, &err));
-                }
-                return;
-            }
-            while batch.len() < shared.batch_cap {
-                match q.pop_front() {
-                    Some(job) => batch.push(job),
-                    None => break,
-                }
-            }
-        }
-        // In-wave dedup: identical canonical encodings run once.
-        let mut uniques: Vec<(String, Request)> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(batch.len());
-        for job in &batch {
-            match uniques.iter().position(|(key, _)| *key == job.key) {
-                Some(i) => slots.push(i),
-                None => {
-                    uniques.push((job.key.clone(), job.request.clone()));
-                    slots.push(uniques.len() - 1);
-                }
-            }
-        }
-        let dedup_hits = (batch.len() - uniques.len()) as u64;
-        let results =
-            mpress_par::par_map(&uniques, |(key, req)| execute_caught(req, key, &shared.ctx));
-        shared.record(|m| {
-            m.inc("serve.batches");
-            m.observe("serve.batch_size", batch.len() as f64);
-            m.add("serve.dedup_hits", dedup_hits);
-        });
-        for (job, slot) in batch.into_iter().zip(slots) {
-            let _ = job.reply.send(encode_response_line(job.id, &results[slot]));
-        }
+        };
+        let result = execute_caught(&job.request, &job.key, &shared.ctx);
+        let _ = job.reply.send(encode_response_line(job.id, &result));
     }
 }
 
-/// Model name that makes [`execute_caught`] panic, so unit tests can
-/// check that a panicking request is answered and the batcher survives.
-#[cfg(test)]
-const PANIC_MODEL: &str = "test-panic";
-
-/// Model name that makes [`execute_caught`] hold its wave until a test
-/// releases [`STALL`], so unit tests can fill the queue behind a wave
-/// that is still running.
-#[cfg(test)]
-const STALL_MODEL: &str = "test-stall";
-
-/// `(a request is held, held requests may go on)`, and the condvar that
-/// signals either change.
-#[cfg(test)]
-static STALL: (Mutex<(bool, bool)>, Condvar) = (Mutex::new((false, false)), Condvar::new());
-
 /// Runs one queued request through the memo's miss path (its admission
 /// lookup under `key` missed), answering a panic with an `internal`
-/// error so a bad request cannot take the batcher, and every later
-/// wave, down with it.
+/// error so a bad request cannot take its worker, and every later
+/// request that worker would run, down with it.
 fn execute_caught(req: &Request, key: &str, ctx: &ApiContext) -> Result<Response, ServeError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
-        if matches!(req, Request::Plan(r) if r.model == PANIC_MODEL) {
-            panic!("injected panic for {PANIC_MODEL}");
-        }
-        #[cfg(test)]
-        if matches!(req, Request::Plan(r) if r.model == STALL_MODEL) {
-            let mut state = recover(&STALL.0);
-            state.0 = true;
-            STALL.1.notify_all();
-            while !state.1 {
-                state = STALL.1.wait(state).unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        tests::inject_fault(req);
         execute_and_remember(req, key, ctx)
     }))
     .unwrap_or_else(|payload| {
@@ -409,7 +344,7 @@ fn write_responses(rx: &mpsc::Receiver<String>, out: &mut impl Write) {
 }
 
 /// One connection: a reader loop on this thread plus a writer thread
-/// fed over a channel (the batcher routes responses into the same
+/// fed over a channel (the workers send responses into the same
 /// channel, so writes never interleave mid-line).
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     // Each batch is one whole write: send it now rather than wait for
@@ -463,9 +398,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             Ok(request) => {
                 shared.record(|m| m.inc(&format!("serve.requests.{}", request.kind())));
                 // A request that already succeeded is answered here from
-                // the memo, like `stats`: it never waits behind a wave
-                // and is never overloaded. Once shutdown starts, every
-                // request gets the shutdown error below instead.
+                // the memo, like `stats`: it never waits behind a cold
+                // search and is never overloaded. Once shutdown starts,
+                // every request gets the shutdown error below instead.
                 let key = request_key(&request);
                 if !shared.stop.load(Ordering::SeqCst) {
                     if let Some(response) = shared.ctx.remembered(&key) {
@@ -509,6 +444,37 @@ mod tests {
     use crate::Client;
     use mpress_api::{encode_request_line, PlanRequest};
 
+    /// Model name that makes [`execute_caught`] panic, so a test can
+    /// check that a panicking request is answered and the worker
+    /// survives.
+    const PANIC_MODEL: &str = "test-panic";
+
+    /// Model name that makes [`execute_caught`] hold its worker until a
+    /// test releases [`STALL`], so a test can fill the queue behind
+    /// busy workers.
+    const STALL_MODEL: &str = "test-stall";
+
+    /// `(requests held, held requests may go on)`, and the condvar that
+    /// signals either change.
+    static STALL: (Mutex<(usize, bool)>, Condvar) = (Mutex::new((0, false)), Condvar::new());
+
+    /// Runs before every queued request: panics for [`PANIC_MODEL`] and
+    /// holds the worker for [`STALL_MODEL`].
+    pub(super) fn inject_fault(req: &Request) {
+        let Request::Plan(r) = req else { return };
+        if r.model == PANIC_MODEL {
+            panic!("injected panic for {PANIC_MODEL}");
+        }
+        if r.model == STALL_MODEL {
+            let mut state = recover(&STALL.0);
+            state.0 += 1;
+            STALL.1.notify_all();
+            while !state.1 {
+                state = STALL.1.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
     fn plan(model: &str) -> Request {
         Request::Plan(PlanRequest::new(model).microbatches(4))
     }
@@ -531,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_request_is_answered_and_the_batcher_survives() {
+    fn panicking_request_is_answered_and_the_worker_survives() {
         within(panicking_request_body);
     }
 
@@ -555,12 +521,12 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_are_answered_while_a_wave_stalls_behind_a_full_queue() {
+    fn memo_hits_are_answered_while_workers_stall_behind_a_full_queue() {
         within(memo_hit_under_stall_body);
     }
 
     fn memo_hit_under_stall_body() {
-        let mut server = start(ServeConfig::default().queue_cap(1).batch_cap(1)).expect("binds");
+        let mut server = start(ServeConfig::default().queue_cap(1)).expect("binds");
         let addr = server.addr();
         let mut warm = Client::connect(addr).expect("connects");
         let (_, first) = warm
@@ -568,20 +534,22 @@ mod tests {
             .expect("plan")
             .result
             .expect("plans");
-        // One connection's request holds the batcher in its wave ...
+        // One connection's requests hold every worker, one at a time so
+        // none of them finds the one-slot queue full ...
         let mut stalled = Client::connect(addr).expect("connects");
-        let held = stalled.send(&plan(STALL_MODEL)).expect("sends");
-        {
+        let mut held = Vec::new();
+        for n in 1..=server.workers.len() {
+            held.push(stalled.send(&plan(STALL_MODEL)).expect("sends"));
             let mut state = recover(&STALL.0);
-            while !state.0 {
+            while state.0 < n {
                 state = STALL.1.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        // ... another's fills the one-slot queue behind it ...
+        // ... another's fills the queue behind them ...
         let mut queued = Client::connect(addr).expect("connects");
         let waiting = queued.send(&plan("bert-0.64b")).expect("sends");
         {
-            // The batcher is held, so this test is the only thread
+            // Every worker is held, so this test is the only thread
             // waiting for the push's notification.
             let mut q = recover(&server.shared.queue);
             while q.is_empty() {
@@ -610,18 +578,23 @@ mod tests {
             .expect("memo hit");
         assert_eq!(again, first);
         assert_eq!(server.shared.ctx.response_stats().hits, 1);
-        // Released, the held wave and the queued request finish.
+        // Released, the held and the queued requests finish.
         {
             let mut state = recover(&STALL.0);
             state.1 = true;
             STALL.1.notify_all();
         }
-        let answer = stalled.recv().expect("the held request is answered");
-        assert_eq!(answer.id, held);
-        assert_eq!(
-            answer.result.expect_err("no such model").code(),
-            "bad_request"
-        );
+        let mut answered = Vec::new();
+        for _ in &held {
+            let answer = stalled.recv().expect("a held request is answered");
+            assert_eq!(
+                answer.result.expect_err("no such model").code(),
+                "bad_request"
+            );
+            answered.push(answer.id);
+        }
+        answered.sort_unstable();
+        assert_eq!(answered, held);
         let answer = queued.recv().expect("the queued request is answered");
         assert_eq!(answer.id, waiting);
         assert!(answer.result.is_ok(), "{:?}", answer.result);
@@ -656,7 +629,7 @@ mod tests {
     fn poisoned_locks_body() {
         let mut server = start(ServeConfig::default()).expect("binds");
         // One thread dies holding the metrics lock, another the queue
-        // lock (the batcher is parked on the queue's condvar meanwhile).
+        // lock (the workers are parked on the queue's condvar meanwhile).
         for hold_metrics in [true, false] {
             let shared = Arc::clone(&server.shared);
             let died = thread::spawn(move || {

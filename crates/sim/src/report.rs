@@ -58,8 +58,9 @@ impl fmt::Display for OomEvent {
     }
 }
 
-/// Everything one simulation run reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Everything one simulation run reports. The default is an empty
+/// report: no ops, zero makespan, no traffic and no OOM.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// End-to-end time of the simulated window.
     pub makespan: Secs,
@@ -137,16 +138,7 @@ mod tests {
             op_start: vec![0.0],
             op_end: vec![2.0],
             device_peak: vec![Bytes::gib(10), Bytes::gib(4)],
-            host_peak: Bytes::ZERO,
-            nvme_peak: Bytes::ZERO,
-            oom: None,
-            d2d_traffic: Bytes::ZERO,
-            host_traffic: Bytes::ZERO,
-            nvme_traffic: Bytes::ZERO,
-            recompute_time: 0.0,
-            timelines: None,
-            trace: None,
-            metrics: None,
+            ..SimReport::default()
         }
     }
 

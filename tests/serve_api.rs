@@ -6,8 +6,9 @@
 //! * **Byte identity** — a daemon response body for a request is
 //!   byte-identical to the CLI's `--json` output for the same request,
 //!   whether the plan came from a cold search, the process-global plan
-//!   cache, or in-wave dedup. This is what makes the daemon a drop-in
-//!   back end for existing tooling.
+//!   cache (directly or by waiting for another request's search), or
+//!   the response memo. This is what makes the daemon a drop-in back
+//!   end for existing tooling.
 //! * **Versioned compatibility** — `v1` decoders tolerate unknown
 //!   fields (additive evolution) but reject foreign major versions
 //!   loudly rather than misinterpreting them.
@@ -71,8 +72,8 @@ fn concurrent_identical_clients_get_identical_bytes_and_cache_hits() {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connects");
                     // Two identical requests per client: the repeats
-                    // must come from the response memo, the plan cache
-                    // or in-wave dedup.
+                    // must come from the response memo or the plan
+                    // cache.
                     let first = body_bytes(&mut client, &plan_request());
                     let second = body_bytes(&mut client, &plan_request());
                     assert_eq!(first, second, "repeat on one connection diverged");
@@ -102,20 +103,48 @@ fn concurrent_identical_clients_get_identical_bytes_and_cache_hits() {
     };
     let (misses, hits) = (field("cache", "plan_misses"), field("cache", "plan_hits"));
     let memo_hits = field("responses", "hits");
-    let dedup = stats
-        .get("service")
-        .and_then(|s| s.get("counters"))
-        .and_then(|c| c.get("serve.dedup_hits"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
     // Each request is answered exactly one way: from the memo at
-    // admission, by in-wave dedup, or by a run that looks its plan up.
+    // admission, or by a run that looks its plan up (a request that
+    // waited for another's search counts as a plan hit).
     assert_eq!(misses, 1, "8 identical requests must run one search");
     assert_eq!(
-        memo_hits + hits + dedup,
+        memo_hits + hits,
         7,
-        "the other 7 share that search (memo {memo_hits}, plan cache {hits}, dedup {dedup})"
+        "the other 7 share that search (memo {memo_hits}, plan cache {hits})"
     );
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_plan_and_check_of_one_job_run_one_search() {
+    // Different requests, hence different memo keys, but one plan: the
+    // second to reach the plan cache takes the first one's plan, even
+    // when both run at once on two workers.
+    let mut server = start_server(ServeConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let check = Request::Check(PlanRequest::new("bert-0.64b").microbatches(8));
+    let ids = [
+        client.send(&plan_request()).expect("sends plan"),
+        client.send(&check).expect("sends check"),
+    ];
+    let mut answered = Vec::new();
+    for _ in ids {
+        let decoded = client.recv().expect("answered");
+        assert!(decoded.result.is_ok(), "{:?}", decoded.result);
+        answered.push(decoded.id);
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, ids);
+    let (_, stats) = client
+        .request(&Request::Stats)
+        .expect("stats roundtrip")
+        .result
+        .expect("stats succeeds");
+    let misses = stats
+        .get("cache")
+        .and_then(|c| c.get("plan_misses"))
+        .and_then(Value::as_u64);
+    assert_eq!(misses, Some(1), "a plan and a check of one job search once");
     server.shutdown();
 }
 
@@ -190,10 +219,10 @@ fn full_queue_overloads_but_stats_and_shutdown_stay_inline() {
 
 #[test]
 fn cancelled_shutdown_answers_queued_requests() {
-    // batch_cap 1 with a multi-entry queue: shut down while work is
-    // queued and confirm every request still gets *an* answer (either a
-    // result or an internal shutdown error) instead of a hang.
-    let mut server = start_server(ServeConfig::default().batch_cap(1));
+    // Shut down while work is queued and confirm every request still
+    // gets *an* answer (either a result or an internal shutdown error)
+    // instead of a hang.
+    let mut server = start_server(ServeConfig::default());
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connects");
     let id_a = client.send(&plan_request()).expect("send a");
